@@ -9,7 +9,6 @@ from .adaptive import (
     agride,
     babide,
     lrt_statistic,
-    select_k_star,
     select_k_star_all,
 )
 from .estimators import (
@@ -63,7 +62,6 @@ __all__ = [
     "lrt_statistic",
     "optimal_tau",
     "sample_mixture",
-    "select_k_star",
     "select_k_star_all",
     "twonn_estimate",
     "validate_model",

@@ -66,6 +66,10 @@ class EstimatorConfig:
             raise InvalidArgumentError("max_iter must be >= 1 and delta > 0")
         if not 0.0 < self.c_star < 1.0 or not 0.0 < self.beta_ci < 1.0:
             raise InvalidArgumentError("c_star and beta_ci must lie in (0, 1)")
+        if self.d_thr_override is not None and not 0.0 < self.d_thr_override < np.inf:
+            raise InvalidArgumentError(
+                f"d_thr_override must be finite and positive, got {self.d_thr_override}"
+            )
 
     def rejection_threshold(self, n: int) -> float:
         """D_thr for a dataset of size n, honouring the Bonferroni mode."""
@@ -122,41 +126,56 @@ def lrt_statistic(d, k, log_r_i_k, log_r_j_k):
     return np.maximum(stat, 0.0)
 
 
-def _lrt_sweep(graph: NeighborGraph, d: float, k_max: int):
-    """Statistic matrix for k = K_MIN .. k_max (columns) and every point (rows)."""
+def _rejection_onsets(graph: NeighborGraph, config: EstimatorConfig) -> np.ndarray:
+    """Per point (rows), the smallest d at which some test of order
+    K_MIN .. k (columns, k up to k_max) rejects.
+
+    With delta the log-radius gap |log r_{i,k} - log r_{j,k}|, the Wilks
+    statistic equals 4k log cosh(d delta / 2), which increases with d, so
+    the test at order k rejects exactly when d >= u_k / delta with
+    u_k = 2 arccosh(exp(D_thr / 4k)).  A zero gap never rejects (onset
+    +inf).  The running minimum along k makes each row non-increasing, so
+    the tests passed before the first rejection at d are the entries > d.
+    """
+    k_max = config.k_max
     if graph.depth < k_max + 1:
         raise InsufficientGraphDepthError(
             f"graph depth {graph.depth} < k_max + 1 = {k_max + 1}"
         )
     ks = np.arange(K_MIN, k_max + 1)
-    log_r_i = np.log(graph.distances[:, ks - 1])
+    t = config.rejection_threshold(graph.n_points) / (4.0 * ks)
+    # arccosh(e^t) = t + log1p(sqrt(1 - e^-2t)): no cancellation, no overflow
+    u = 2.0 * (t + np.log1p(np.sqrt(-np.expm1(-2.0 * t))))
+    onsets = np.log(graph.distances[:, K_MIN - 1 : k_max])
     # j = index of i's (k+1)-th NN; its own k-th NN distance closes the test
-    j = graph.indices[:, ks]
-    log_r_j = np.log(graph.distances[j, (ks - 1)[None, :]])
-    return ks, lrt_statistic(d, ks[None, :], log_r_i, log_r_j)
+    log_r_j = graph.distances[graph.indices[:, K_MIN : k_max + 1], ks - 1]
+    onsets -= np.log(log_r_j, out=log_r_j)
+    np.abs(onsets, out=onsets)
+    # two zero radii leave a NaN gap, whose statistic is NaN and never rejects
+    np.fmax(onsets, 0.0, out=onsets)
+    with np.errstate(divide="ignore"):
+        np.divide(u, onsets, out=onsets)
+    return np.minimum.accumulate(onsets, axis=1, out=onsets)
+
+
+def _k_star_from_onsets(onsets: np.ndarray, d: float, k_max: int) -> np.ndarray:
+    return np.minimum(K_MIN + np.count_nonzero(onsets > d, axis=1), k_max)
 
 
 def select_k_star_all(graph: NeighborGraph, d: float, config: EstimatorConfig) -> np.ndarray:
     """Per-point smallest k at which the constant-density test rejects,
     capped at k_max (k_max when no rejection occurs)."""
-    ks, stats = _lrt_sweep(graph, d, config.k_max)
-    thr = config.rejection_threshold(graph.n_points)
-    reject = stats >= thr
-    first = np.argmax(reject, axis=1)
-    k_star = np.where(reject.any(axis=1), ks[first], config.k_max)
-    return np.minimum(k_star, config.k_max).astype(np.int64)
+    if not 0.0 < d < np.inf:
+        raise InvalidArgumentError(f"dimension must be positive and finite, got {d}")
+    return _k_star_from_onsets(_rejection_onsets(graph, config), d, config.k_max)
 
 
-def select_k_star(graph: NeighborGraph, i: int, d: float, config: EstimatorConfig) -> int:
-    return int(select_k_star_all(graph, d, config)[i])
-
-
-def _assemble_counts(graph, k_star, tau):
+def _assemble_counts(graph, k_star, tau, k_max):
     rows = np.arange(graph.n_points)
     t_b = graph.distances[rows, k_star - 1]
     t_a = tau * t_b
     ka_star = counts_within_open_balls(graph, t_a)
-    state = AdaptiveState(k_star=k_star, ka_star=ka_star, t_b=t_b, t_a=t_a, k_max=0)
+    state = AdaptiveState(k_star=k_star, ka_star=ka_star, t_b=t_b, t_a=t_a, k_max=k_max)
     return state, BinomialCounts(k_a=ka_star, k_b=k_star - 1, tau=tau)
 
 
@@ -170,10 +189,7 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     n = graph.n_points
     if n < 100:
         warnings.warn(f"adaptive estimation on only {n} points is unreliable", stacklevel=3)
-    if graph.depth < config.k_max + 1:
-        raise InsufficientGraphDepthError(
-            f"graph depth {graph.depth} < k_max + 1 = {config.k_max + 1}"
-        )
+    onsets = _rejection_onsets(graph, config)
 
     d_current = twonn_estimate(graph).d
     trace = [IterationRecord(d=d_current, mean_k_star=2.0)]
@@ -182,9 +198,9 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     d_next = d_current
     for step in range(config.max_iter):
         tau = optimal_tau(d_current, config.c_star)
-        k_star = select_k_star_all(graph, d_current, config)
+        k_star = _k_star_from_onsets(onsets, d_current, config.k_max)
         try:
-            _, counts = _assemble_counts(graph, k_star, tau)
+            _, counts = _assemble_counts(graph, k_star, tau, config.k_max)
             d_next = update(graph, counts, k_star)
         except EstimateUnboundedError as err:
             err.trace = trace
@@ -206,9 +222,9 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     d_star = d_next
     # final state recomputed with the terminal estimate
     tau_star = optimal_tau(d_star, config.c_star)
-    k_star = select_k_star_all(graph, d_star, config)
-    state, counts = _assemble_counts(graph, k_star, tau_star)
-    state.k_max = config.k_max
+    k_star = _k_star_from_onsets(onsets, d_star, config.k_max)
+    del onsets
+    state, counts = _assemble_counts(graph, k_star, tau_star, config.k_max)
     info, ci = shared_pair_fisher(graph, counts, d_star, config.beta_ci)
     p_final = validate_model(
         counts.k_a, counts.k_b, d_star, tau_star, seed=_validation_seed(config, config.max_iter)

@@ -459,6 +459,13 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
         "tau": None, "tb": None, "k": None, "depth": 512,
     }
     cfg.update(estimator_cfg or {})
+    if normality:
+        if d_true is None:
+            raise InvalidArgumentError("--normality requires --d-true")
+        if method == "twonn":
+            raise InvalidArgumentError(
+                "--normality needs a method that reports fisher_info, not twonn"
+            )
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(spec.seed).spawn(replicas)]
     payloads = []
     for r, s in enumerate(seeds):
@@ -489,8 +496,6 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
         },
     }
     if normality:
-        if d_true is None:
-            raise InvalidArgumentError("--normality requires --d-true")
         z = np.array([
             np.sqrt(r["n"] * r["fisher_info"]) * (r["d"] - d_true) for r in results
         ])

@@ -10,7 +10,6 @@ from idscale.adaptive import (
     babide,
     gride_update_from_k_star,
     lrt_statistic,
-    select_k_star,
     select_k_star_all,
 )
 from idscale.datagen import (
@@ -20,7 +19,7 @@ from idscale.datagen import (
 )
 from idscale.errors import InsufficientGraphDepthError, InvalidArgumentError
 from idscale.estimators import twonn_estimate
-from idscale.geometry import Dataset, build_neighbor_graph
+from idscale.geometry import Dataset, NeighborGraph, build_neighbor_graph
 from idscale.specfun import chi2_quantile_1df
 
 # frozen by direct evaluation of -2*(log 2 + log 4 - 2 log 6 + log 4)
@@ -112,6 +111,9 @@ class TestEstimatorConfig:
             EstimatorConfig(threshold_mode="nope")
         with pytest.raises(InvalidArgumentError):
             EstimatorConfig(k_max=1)
+        for bad in (float("nan"), float("inf"), 0.0, -3.0):
+            with pytest.raises(InvalidArgumentError):
+                EstimatorConfig(d_thr_override=bad)
 
 
 class TestSelectKStar:
@@ -120,7 +122,7 @@ class TestSelectKStar:
         g = build_neighbor_graph(Dataset(pts), K=25)
         cfg = EstimatorConfig(k_max=20)
         # interior point: equal shell volumes at every k, D identically 0
-        assert select_k_star(g, 50, 1.0, cfg) == 20
+        assert select_k_star_all(g, 1.0, cfg)[50] == 20
 
     def test_density_step_shrinks_neighbourhoods(self):
         ds = gen_density_step_1d(n=5000, ratio=10.0, seed=1)
@@ -154,6 +156,69 @@ class TestSelectKStar:
         with pytest.raises(InsufficientGraphDepthError):
             select_k_star_all(torus_small, 2.0, EstimatorConfig(k_max=torus_small.depth))
 
+    @pytest.mark.parametrize("d", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_invalid_dimension(self, torus_small, d):
+        with pytest.raises(InvalidArgumentError):
+            select_k_star_all(torus_small, d, small_config())
+
+
+def reference_k_star(graph, d, cfg):
+    """First rejection of the sequential test, evaluated with lrt_statistic."""
+    ks = np.arange(K_MIN, cfg.k_max + 1)
+    log_r_i = np.log(graph.distances[:, ks - 1])
+    log_r_j = np.log(graph.distances[graph.indices[:, ks], ks - 1])
+    reject = lrt_statistic(d, ks, log_r_i, log_r_j) >= cfg.rejection_threshold(graph.n_points)
+    return np.where(reject.any(axis=1), ks[np.argmax(reject, axis=1)], cfg.k_max)
+
+
+THRESHOLD_CASES = [
+    {"threshold_mode": mode} for mode in ("fixed", "bonferroni_h", "bonferroni_n", "bonferroni_nh")
+] + [{"d_thr_override": 2.5}]
+
+
+@pytest.fixture(scope="module")
+def onset_graphs():
+    rng = np.random.default_rng(11)
+    lattice = np.argwhere(np.ones((30, 30))).astype(np.float64)
+    euclidean = build_neighbor_graph(Dataset(rng.normal(size=(600, 3))), K=81)
+    # zero radii, as near-duplicates can produce: a gap is +inf where one of
+    # the two radii is zero and NaN where both are
+    zeroed = euclidean.distances.copy()
+    zeroed[::2, :3] = 0.0
+    return {
+        "euclidean": euclidean,
+        "zero_radii": NeighborGraph(zeroed, euclidean.indices, euclidean.dataset),
+        "periodic": build_neighbor_graph(gen_uniform_hypercube_periodic(n=600, d=2, seed=2), K=81),
+        "lattice": build_neighbor_graph(Dataset(lattice), K=81),
+        "periodic_lattice": build_neighbor_graph(Dataset(lattice, periods=np.full(2, 30.0)), K=81),
+    }
+
+
+class TestRejectionOnsets:
+    @pytest.mark.parametrize(
+        "graph_name", ["euclidean", "zero_radii", "periodic", "lattice", "periodic_lattice"]
+    )
+    @pytest.mark.parametrize("thr", THRESHOLD_CASES, ids=lambda c: "-".join(map(str, c.values())))
+    def test_matches_lrt_reference(self, onset_graphs, graph_name, thr):
+        graph = onset_graphs[graph_name]
+        cfg = EstimatorConfig(k_max=80, **thr)
+        grid = list(np.geomspace(0.2, 20.0, 25))
+        if graph_name in ("euclidean", "periodic"):  # two-NN diverges on the others
+            grid += [t.d for t in abide(graph, cfg).estimate.trace]
+        with np.errstate(divide="ignore", invalid="ignore"):  # log of zero radii
+            for d in grid:
+                np.testing.assert_array_equal(
+                    select_k_star_all(graph, d, cfg), reference_k_star(graph, d, cfg)
+                )
+
+    def test_zero_gaps_never_reject(self, onset_graphs):
+        # every point of a periodic lattice sees the same sorted distances,
+        # so every gap is exactly zero and no threshold or d can reject
+        graph = onset_graphs["periodic_lattice"]
+        cfg = EstimatorConfig(k_max=80, d_thr_override=1e-6)
+        for d in (0.1, 2.0, 1e3):
+            assert np.all(select_k_star_all(graph, d, cfg) == cfg.k_max)
+
 
 class TestAbide:
     def test_sine_toy_trajectory(self):
@@ -171,6 +236,7 @@ class TestAbide:
         assert np.all(st.k_star >= K_MIN) and np.all(st.k_star <= st.k_max)
         assert np.all(st.ka_star >= 0) and np.all(st.ka_star <= st.kb_star)
         assert np.all(st.t_a < st.t_b)
+        assert st.k_max == 100
         assert 0.0 <= st.saturation_fraction <= 1.0
         assert 1.85 <= res.estimate.d <= 2.15
         assert res.estimate.ci[0] < res.estimate.d < res.estimate.ci[1]

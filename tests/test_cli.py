@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from idscale import cli, datagen, estimators
 from idscale.cli import load_dataset, main, run_benchmark, save_dataset_csv
-from idscale.errors import ParseError
+from idscale.errors import InvalidArgumentError, ParseError
 from idscale.geometry import build_neighbor_graph
 
 
@@ -189,6 +189,26 @@ class TestBenchmarkCommand:
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
         with pytest.raises(Exception):
             run_benchmark(spec, "twonn", replicas=2, threads=1, normality=True)
+
+    @pytest.mark.parametrize("method, d_true", [("abide", None), ("twonn", 2.0)])
+    def test_normality_checked_before_replicas(self, monkeypatch, method, d_true):
+        def no_replica(payload):
+            raise AssertionError("a replica ran before the --normality checks")
+
+        monkeypatch.setattr(cli, "_benchmark_replica", no_replica)
+        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
+        with pytest.raises(InvalidArgumentError):
+            run_benchmark(spec, method, replicas=2, threads=1, normality=True, d_true=d_true)
+
+    def test_normality_without_fisher_info_exit_code(self, runner):
+        result = invoke(runner, [
+            "benchmark", "--generator", "uniform_hypercube_periodic", "--n", "200",
+            "--d", "2", "--method", "twonn", "--replicas", "2", "--threads", "1",
+            "--normality", "--d-true", "2",
+        ])
+        assert result.exit_code == 2
+        err = json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
+        assert err["error"] == "invalid-argument"
 
     def test_normality_payload(self):
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=400, d=2, seed=6)
