@@ -29,7 +29,7 @@ from .geometry import (
     Dataset,
     NeighborGraph,
     build_neighbor_graph,
-    count_within_open_ball,
+    counts_within_open_balls,
     log_ball_volume,
 )
 from .validation import ValidationReport, sample_mixture, validate_model
@@ -55,7 +55,7 @@ __all__ = [
     "bide_fixed_k",
     "bide_fixed_radius",
     "build_neighbor_graph",
-    "count_within_open_ball",
+    "counts_within_open_balls",
     "fisher_interval",
     "gride_mle",
     "log_ball_volume",

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
+    DegenerateDatasetError,
     DegenerateScaleError,
     EstimateUnboundedError,
     InsufficientGraphDepthError,
@@ -234,6 +235,12 @@ def twonn_estimate(graph: NeighborGraph, beta: float = 0.05) -> IdEstimate:
         raise InsufficientGraphDepthError("two-NN needs at least 2 stored neighbours")
     r1 = graph.distances[:, 0]
     r2 = graph.distances[:, 1]
+    # distinct points closer than the distance arithmetic resolves
+    zero = int(np.count_nonzero(r1 == 0))
+    if zero:
+        raise DegenerateDatasetError(
+            f"{zero} points have a zero first-neighbour distance; two-NN ratios are undefined"
+        )
     log_ratios = np.log(r2 / r1)
     # sorted reduction: bitwise identical under point relabelling
     total = np.sort(log_ratios).sum()

@@ -2,9 +2,14 @@
 
 Distances are either plain Euclidean or per-coordinate periodic
 (minimal-image convention, then Euclidean aggregation), which covers
-toroidal benchmarks and dihedral-angle data.  Graph construction is exact
-brute force, O(D n^2), with ties between equidistant neighbours broken by
-the smaller point index so results are reproducible.
+toroidal benchmarks and dihedral-angle data.  Periodic squared distances
+are accumulated coordinate by coordinate, in coordinate order, into one
+buffer per row block, so their rounding is fixed.  Graph construction is
+exact brute force, O(D n^2): each row block keeps its K smallest entries by
+partition and sorts only those, with ties between equidistant neighbours
+broken by the smaller point index so results are reproducible.  A row whose
+K-th distance is shared by an entry left outside the partition falls back
+to a full stable sort.
 """
 
 from __future__ import annotations
@@ -107,10 +112,18 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray, periods: np.ndarray | None)
         d2 = xx[:, None] + yy[None, :] - 2.0 * np.einsum("ik,jk->ij", x, y)
         np.maximum(d2, 0.0, out=d2)
     else:
-        delta = np.abs(x[:, None, :] - y[None, :, :])
-        delta = np.minimum(delta, periods[None, None, :] - delta)
-        d2 = np.einsum("ijk,ijk->ij", delta, delta)
-    return np.sqrt(d2)
+        d2 = np.zeros((x.shape[0], y.shape[0]))
+        delta = np.empty_like(d2)
+        wrapped = np.empty_like(d2)
+        # min(|dx|, p - |dx|)^2 summed over k = 0..D-1 in that order
+        for k, period in enumerate(periods):
+            np.subtract(x[:, k, None], y[None, :, k], out=delta)
+            np.abs(delta, out=delta)
+            np.subtract(period, delta, out=wrapped)
+            np.minimum(delta, wrapped, out=delta)
+            np.multiply(delta, delta, out=delta)
+            d2 += delta
+    return np.sqrt(d2, out=d2)
 
 
 def deduplicate(dataset: Dataset) -> tuple[Dataset, int]:
@@ -145,17 +158,38 @@ def build_neighbor_graph(dataset: Dataset, K: int, chunk_rows: int = 512) -> Nei
     for start in range(0, n, chunk_rows):
         stop = min(start + chunk_rows, n)
         block = pairwise_distances(pts[start:stop], pts, dataset.periods)
-        # stable sort on distance: equal distances keep ascending index order
-        order = np.argsort(block, axis=1, kind="stable")[:, : K + 1]
-        rows = np.arange(start, stop)
-        # drop self (distance 0; duplicates are already gone)
-        self_pos = np.argmax(order == rows[:, None], axis=1)
-        keep = np.ones_like(order, dtype=bool)
-        keep[np.arange(order.shape[0]), self_pos] = False
-        order = order[keep].reshape(stop - start, K)
-        idx[start:stop] = order
-        dist[start:stop] = np.take_along_axis(block, order, axis=1)
+        # self is never a neighbour (duplicates are already gone)
+        rows = np.arange(stop - start)
+        block[rows, start + rows] = np.inf
+        _k_smallest(block, idx[start:stop], dist[start:stop])
+        # free this block before the next one is computed
+        del block
     return NeighborGraph(distances=dist, indices=idx, dataset=dataset, duplicates_removed=removed)
+
+
+def _k_smallest(block: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> None:
+    """Write the column indices and values of each row's ``K = idx.shape[1]``
+    smallest entries, ascending, into ``idx`` and ``dist``.
+
+    Equal to the first K columns of a stable ``argsort`` of each row: among
+    equal values the smaller column index comes first.  The outputs double
+    as work space, so that no n-wide temporary outlives the partition.
+    """
+    K = idx.shape[1]
+    idx[:] = np.argpartition(block, K - 1, axis=1)[:, :K]
+    idx.sort(axis=1)
+    dist[:] = np.take_along_axis(block, idx, axis=1)
+    order = np.argsort(dist, axis=1, kind="stable")
+    idx[:] = np.take_along_axis(idx, order, axis=1)
+    dist[:] = np.take_along_axis(dist, order, axis=1)
+    # an entry outside the partition that equals the K-th value may have a
+    # smaller index than a kept one: redo those rows with the full sort
+    tied = np.count_nonzero(block <= dist[:, -1:], axis=1) > K
+    if np.any(tied):
+        rows = block[tied]
+        full = np.argsort(rows, axis=1, kind="stable")[:, :K]
+        idx[tied] = full
+        dist[tied] = np.take_along_axis(rows, full, axis=1)
 
 
 def log_ball_volume(d: float, log_r: float | np.ndarray):
@@ -170,18 +204,9 @@ def log_ball_volume(d: float, log_r: float | np.ndarray):
     return log_omega + d * np.asarray(log_r)
 
 
-def count_within_open_ball(graph: NeighborGraph, i: int, radius: float) -> int:
-    """Number of stored neighbours of i strictly inside ``radius`` (centre excluded)."""
-    row = graph.distances[i]
-    if radius > row[-1]:
-        raise InsufficientGraphDepthError(
-            f"radius {radius} exceeds stored horizon {row[-1]} for point {i}"
-        )
-    return int(np.searchsorted(row, radius, side="left"))
-
-
 def counts_within_open_balls(graph: NeighborGraph, radii: np.ndarray) -> np.ndarray:
-    """Vectorized open-ball counts, one radius per point."""
+    """Number of stored neighbours of each point strictly inside its radius
+    (centre and boundary excluded), one radius per point."""
     radii = np.asarray(radii, dtype=np.float64)
     beyond = radii > graph.distances[:, -1]
     if np.any(beyond):

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from idscale import cli, datagen, estimators
 from idscale.cli import load_dataset, main, run_benchmark, save_dataset_csv
 from idscale.errors import InvalidArgumentError, ParseError
-from idscale.geometry import build_neighbor_graph
+from idscale.geometry import Dataset, build_neighbor_graph
 
 
 @pytest.fixture()
@@ -111,6 +111,17 @@ class TestEstimateCommand:
         assert result.exit_code == 5
         err = json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
         assert err["error"] == "degenerate-scale"
+
+    def test_near_duplicates_exit_code(self, runner, tmp_path):
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(300, 10))
+        pts[:3] = 100 + 1e-7 * rng.normal(size=(3, 10))
+        path = str(tmp_path / "near.csv")
+        save_dataset_csv(Dataset(pts), path)
+        result = invoke(runner, ["estimate", "--method", "abide", "--kmax", "60", "--input", path])
+        assert result.exit_code == 3
+        err = json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
+        assert err["error"] == "degenerate-dataset"
 
     def test_parse_error_exit_code(self, runner, tmp_path):
         path = write(tmp_path, "bad.csv", "1,2\n3\n")

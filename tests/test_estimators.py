@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from idscale.adaptive import EstimatorConfig, abide
 from idscale.datagen import gen_uniform_hypercube_periodic
 from idscale.errors import (
+    DegenerateDatasetError,
     DegenerateScaleError,
     EstimateUnboundedError,
     InvalidArgumentError,
@@ -68,6 +69,25 @@ class TestTwoNN:
         est = twonn_estimate(torus_2d)
         assert est.ci is not None and est.ci[0] < est.d < est.ci[1]
         assert len(est.trace) == 1
+
+    def test_zero_first_distance_is_degenerate(self):
+        # r1 = 0 alone used to give d = 0 without an error
+        g = graph_from_distances([[0.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+        with pytest.raises(DegenerateDatasetError, match="^1 points"):
+            twonn_estimate(g)
+
+    def test_near_duplicates_are_degenerate(self):
+        # distinct points 1e-7 apart at offset 100: the expanded-form
+        # distance rounds r1 = r2 = 0 for three points, which gave d = nan
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(300, 10))
+        pts[:3] = 100 + 1e-7 * rng.normal(size=(3, 10))
+        g = build_neighbor_graph(Dataset(pts), K=61)
+        assert np.count_nonzero(g.distances == 0) == 6
+        with pytest.raises(DegenerateDatasetError, match="^3 points"):
+            twonn_estimate(g)
+        with pytest.raises(DegenerateDatasetError, match="^3 points"), np.errstate(divide="ignore"):
+            abide(g, EstimatorConfig(k_max=60))
 
 
 class TestBideClosedForm:

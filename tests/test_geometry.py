@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from idscale.errors import (
     DegenerateDatasetError,
@@ -9,7 +11,6 @@ from idscale.errors import (
 from idscale.geometry import (
     Dataset,
     build_neighbor_graph,
-    count_within_open_ball,
     counts_within_open_balls,
     log_ball_volume,
     pairwise_distances,
@@ -27,6 +28,20 @@ def brute_force_distances(pts, periods=None):
                 delta = np.minimum(delta, periods - delta)
             out[i, j] = np.sqrt((delta ** 2).sum())
     return out
+
+
+def stable_sort_oracle(graph, K):
+    """Full stable sort of the brute-force rows without self: ties between
+    equal distances go to the smaller index."""
+    full = brute_force_distances(graph.dataset.points, graph.dataset.periods)
+    np.fill_diagonal(full, np.inf)
+    order = np.argsort(full, axis=1, kind="stable")[:, :K]
+    return order, np.take_along_axis(full, order, axis=1)
+
+
+def integer_lattice(side, dim, periodic):
+    pts = np.argwhere(np.ones((side,) * dim)).astype(np.float64)
+    return Dataset(pts, np.full(dim, float(side)) if periodic else None)
 
 
 class TestDataset:
@@ -126,6 +141,86 @@ class TestBuildNeighborGraph:
         assert np.array_equal(g2.indices, inv[g1.indices[perm]])
 
 
+class TestNeighborSelection:
+    """Partition selection keeps exactly what a full stable sort keeps."""
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("K", [1, 4, 40, 143])
+    @pytest.mark.parametrize("chunk_rows", [7, 512])
+    def test_lattice_matches_stable_sort(self, periodic, K, chunk_rows):
+        # every row of a 12 x 12 lattice has many exactly tied distances
+        g = build_neighbor_graph(integer_lattice(12, 2, periodic), K=K, chunk_rows=chunk_rows)
+        order, dist = stable_sort_oracle(g, K)
+        assert np.array_equal(g.indices, order)
+        assert np.array_equal(g.distances, dist)
+
+    @given(
+        coords=st.lists(
+            st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=3, max_size=40
+        ),
+        dim=st.integers(1, 3),
+        periodic=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_small_integer_ties(self, coords, dim, periodic, data):
+        pts = np.array(coords, dtype=np.float64)[:, :dim]
+        ds = Dataset(pts, np.full(dim, 4.0) if periodic else None)
+        n = len(np.unique(ds.points, axis=0))
+        assume(n >= 2)
+        K = data.draw(st.integers(1, n - 1), label="K")
+        chunk_rows = data.draw(st.integers(1, n), label="chunk_rows")
+        g = build_neighbor_graph(ds, K=K, chunk_rows=chunk_rows)
+        order, _ = stable_sort_oracle(g, K)
+        assert np.array_equal(g.indices, order)
+        assert np.all(np.diff(g.distances, axis=1) >= 0)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_full_depth_never_keeps_self(self, periodic):
+        rng = np.random.default_rng(8)
+        for ds in (integer_lattice(6, 2, periodic),
+                   Dataset(rng.uniform(size=(50, 3)), np.ones(3) if periodic else None)):
+            n = ds.n
+            g = build_neighbor_graph(ds, K=n - 1, chunk_rows=16)
+            assert np.all(np.isfinite(g.distances))
+            expected = np.array([np.delete(np.arange(n), i) for i in range(n)])
+            assert np.array_equal(np.sort(g.indices, axis=1), expected)
+
+
+class TestPeriodicDistances:
+    def test_sequential_coordinate_order(self):
+        # pins the summation order: min(|dx|, p - |dx|)^2 added for k = 0..D-1
+        rng = np.random.default_rng(9)
+        periods = rng.uniform(0.5, 3.0, size=7)
+        x = rng.uniform(size=(40, 7)) * periods
+        y = rng.uniform(size=(30, 7)) * periods
+        d2 = np.zeros((40, 30))
+        for k in range(7):
+            delta = np.abs(x[:, k, None] - y[None, :, k])
+            delta = np.minimum(delta, periods[k] - delta)
+            d2 = d2 + delta * delta
+        assert np.array_equal(pairwise_distances(x, y, periods), np.sqrt(d2))
+
+    def test_chunk_size_does_not_change_output(self):
+        rng = np.random.default_rng(10)
+        ds = Dataset(rng.uniform(size=(200, 3)), np.ones(3))
+        g1 = build_neighbor_graph(ds, K=20, chunk_rows=7)
+        g2 = build_neighbor_graph(ds, K=20, chunk_rows=200)
+        assert np.array_equal(g1.distances, g2.distances)
+        assert np.array_equal(g1.indices, g2.indices)
+
+    def test_permutation_invariance(self):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(size=(80, 3))
+        perm = rng.permutation(80)
+        g1 = build_neighbor_graph(Dataset(pts, np.ones(3)), K=6)
+        g2 = build_neighbor_graph(Dataset(pts[perm], np.ones(3)), K=6)
+        inv = np.empty(80, dtype=int)
+        inv[perm] = np.arange(80)
+        assert np.array_equal(g2.distances, g1.distances[perm])
+        assert np.array_equal(g2.indices, inv[g1.indices[perm]])
+
+
 class TestMetricProperties:
     @pytest.mark.parametrize("periods", [None, np.array([1.0, 1.0, 1.0])])
     def test_symmetry_and_triangle(self, periods):
@@ -167,39 +262,27 @@ class TestLogBallVolume:
 
 
 class TestOpenBallCounts:
-    def _graph(self, row):
-        pts = np.arange(len(row) + 1, dtype=float)[:, None]
-        g = build_neighbor_graph(Dataset(pts), K=len(row))
-        return g
-
     def test_strict_comparison(self):
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
         g = build_neighbor_graph(Dataset(pts), K=3)
-        assert count_within_open_ball(g, 0, 2.5) == 2
-        assert count_within_open_ball(g, 0, 2.0) == 1  # boundary excluded
+        assert counts_within_open_balls(g, np.array([2.5, 1.5, 1.5, 2.5])).tolist() == [2, 2, 2, 2]
+        # boundary excluded: rows are [1, 2, 3], [1, 1, 2], [1, 1, 2], [1, 2, 3]
+        assert counts_within_open_balls(g, np.full(4, 2.0)).tolist() == [1, 2, 2, 1]
 
     def test_beyond_horizon(self):
         pts = np.array([[0.0], [1.0], [2.0]])
         g = build_neighbor_graph(Dataset(pts), K=2)
-        with pytest.raises(InsufficientGraphDepthError):
-            count_within_open_ball(g, 0, 5.0)
+        with pytest.raises(InsufficientGraphDepthError, match="point 0"):
+            counts_within_open_balls(g, np.array([5.0, 0.5, 0.5]))
 
     def test_random_pairs_match_brute_force(self):
         rng = np.random.default_rng(6)
-        pts = rng.normal(size=(60, 1))
-        g = build_neighbor_graph(Dataset(pts), K=59)
-        full = brute_force_distances(pts)
-        for _ in range(100):
-            i = int(rng.integers(60))
-            radius = float(rng.uniform(0.01, g.distances[i, -1]))
-            expected = int(np.sum((full[i] < radius)) - (0.0 < radius))
-            assert count_within_open_ball(g, i, radius) == expected
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(40, 2))
-        g = build_neighbor_graph(Dataset(pts), K=20)
-        radii = rng.uniform(0.01, 1.0, size=40) * g.distances[:, -1]
-        vec = counts_within_open_balls(g, radii)
-        for i in range(40):
-            assert vec[i] == count_within_open_ball(g, i, radii[i])
+        for dim in (1, 2):
+            pts = rng.normal(size=(60, dim))
+            g = build_neighbor_graph(Dataset(pts), K=59)
+            full = brute_force_distances(pts)
+            for _ in range(3):
+                radii = rng.uniform(0.01, 1.0, size=60) * g.distances[:, -1]
+                # the centre (distance 0) is inside every ball but not counted
+                expected = (full < radii[:, None]).sum(axis=1) - 1
+                assert np.array_equal(counts_within_open_balls(g, radii), expected)
