@@ -21,6 +21,7 @@ from .errors import (
     OptimizationFailureError,
 )
 from .estimators import (
+    BETA_CI,
     C_STAR,
     BinomialCounts,
     IdEstimate,
@@ -52,7 +53,7 @@ class EstimatorConfig:
     max_iter: int = 5
     delta: float = 1e-4
     c_star: float = C_STAR
-    beta_ci: float = 0.05
+    beta_ci: float = BETA_CI
     seed: int = 0
 
     def __post_init__(self):
@@ -126,6 +127,13 @@ def lrt_statistic(d, k, log_r_i_k, log_r_j_k):
     return np.maximum(stat, 0.0)
 
 
+def _require_depth(graph: NeighborGraph, k_max: int) -> None:
+    if graph.depth < k_max + 1:
+        raise InsufficientGraphDepthError(
+            f"graph depth {graph.depth} < k_max + 1 = {k_max + 1}"
+        )
+
+
 def _rejection_onsets(graph: NeighborGraph, config: EstimatorConfig) -> np.ndarray:
     """Per point (rows), the smallest d at which some test of order
     K_MIN .. k (columns, k up to k_max) rejects.
@@ -138,10 +146,7 @@ def _rejection_onsets(graph: NeighborGraph, config: EstimatorConfig) -> np.ndarr
     the tests passed before the first rejection at d are the entries > d.
     """
     k_max = config.k_max
-    if graph.depth < k_max + 1:
-        raise InsufficientGraphDepthError(
-            f"graph depth {graph.depth} < k_max + 1 = {k_max + 1}"
-        )
+    _require_depth(graph, k_max)
     ks = np.arange(K_MIN, k_max + 1)
     t = config.rejection_threshold(graph.n_points) / (4.0 * ks)
     # arccosh(e^t) = t + log1p(sqrt(1 - e^-2t)): no cancellation, no overflow
@@ -189,9 +194,10 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     n = graph.n_points
     if n < 100:
         warnings.warn(f"adaptive estimation on only {n} points is unreliable", stacklevel=3)
-    onsets = _rejection_onsets(graph, config)
-
+    # depth first, then two-NN: a degenerate graph raises before the onset build
+    _require_depth(graph, config.k_max)
     d_current = twonn_estimate(graph).d
+    onsets = _rejection_onsets(graph, config)
     trace = [IterationRecord(d=d_current, mean_k_star=2.0)]
     converged = False
     iterations = 0

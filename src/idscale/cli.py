@@ -33,6 +33,21 @@ _THRESHOLD_MODES = {
     "bonf-nh": "bonferroni_nh",
 }
 
+# the estimator defaults of every command: EstimatorConfig's, plus the
+# Beta prior of babide and the stored depth of bide-r
+_DEFAULTS = adaptive_mod.EstimatorConfig()
+_DEFAULT_CFG = {
+    "alpha": _DEFAULTS.alpha,
+    "kmax": _DEFAULTS.k_max,
+    "max_iter": _DEFAULTS.max_iter,
+    "tol": _DEFAULTS.delta,
+    "threshold_mode": {v: k for k, v in _THRESHOLD_MODES.items()}[_DEFAULTS.threshold_mode],
+    "beta_ci": _DEFAULTS.beta_ci,
+    "alpha0": 1.0,
+    "beta0": 1.0,
+    "depth": 512,
+}
+
 OPTDIGITS_URL = (
     "https://archive.ics.uci.edu/ml/machine-learning-databases/optdigits/optdigits.tra"
 )
@@ -196,7 +211,7 @@ def _required_depth(method, n, k, kmax, depth):
 
 
 def _run_method(method, graph, *, config=None, tau=None, tb=None, k=None,
-                alpha0=1.0, beta0=1.0, beta_ci=0.05, seed=0):
+                alpha0, beta0, beta_ci, seed):
     """Dispatch shared by the estimate command and the benchmark workers."""
     if method == "twonn":
         est = estimators.twonn_estimate(graph, beta=beta_ci)
@@ -246,21 +261,23 @@ def main():
 
 def _estimator_options(fn):
     opts = [
-        click.option("--alpha", type=float, default=0.01, show_default=True),
-        click.option("--kmax", type=int, default=350, show_default=True),
-        click.option("--max-iter", type=int, default=5, show_default=True),
-        click.option("--tol", type=float, default=1e-4, show_default=True),
+        click.option("--alpha", type=float, default=_DEFAULT_CFG["alpha"], show_default=True),
+        click.option("--kmax", type=int, default=_DEFAULT_CFG["kmax"], show_default=True),
+        click.option("--max-iter", type=int, default=_DEFAULT_CFG["max_iter"],
+                     show_default=True),
+        click.option("--tol", type=float, default=_DEFAULT_CFG["tol"], show_default=True),
         click.option("--tau", type=float, default=None),
         click.option("--tb", type=float, default=None),
         click.option("--k", type=int, default=None),
-        click.option("--alpha0", type=float, default=1.0, show_default=True),
-        click.option("--beta0", type=float, default=1.0, show_default=True),
-        click.option("--beta-ci", type=float, default=0.05, show_default=True),
+        click.option("--alpha0", type=float, default=_DEFAULT_CFG["alpha0"], show_default=True),
+        click.option("--beta0", type=float, default=_DEFAULT_CFG["beta0"], show_default=True),
+        click.option("--beta-ci", type=float, default=_DEFAULT_CFG["beta_ci"],
+                     show_default=True),
         click.option("--threshold-mode", type=click.Choice(list(_THRESHOLD_MODES)),
-                     default="fixed", show_default=True),
-        click.option("--depth", type=int, default=512, show_default=True,
+                     default=_DEFAULT_CFG["threshold_mode"], show_default=True),
+        click.option("--depth", type=int, default=_DEFAULT_CFG["depth"], show_default=True,
                      help="stored neighbour orders for bide-r"),
-        click.option("--seed", type=int, default=0, show_default=True),
+        click.option("--seed", type=int, default=_DEFAULTS.seed, show_default=True),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
@@ -453,11 +470,7 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
                   threads: int = 1, normality: bool = False, d_true: float | None = None,
                   estimator_cfg: dict | None = None) -> dict:
     """Seeded Monte Carlo replicas of one generator/method pair."""
-    cfg = {
-        "alpha": 0.01, "kmax": 350, "max_iter": 5, "tol": 1e-4,
-        "threshold_mode": "fixed", "beta_ci": 0.05, "alpha0": 1.0, "beta0": 1.0,
-        "tau": None, "tb": None, "k": None, "depth": 512,
-    }
+    cfg = {**_DEFAULT_CFG, "tau": None, "tb": None, "k": None}
     cfg.update(estimator_cfg or {})
     if normality:
         if d_true is None:

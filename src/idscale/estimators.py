@@ -28,6 +28,9 @@ from .validation import validate_model
 # optimal inner/outer radius ratio is c_star ** (1/d)
 C_STAR = 0.2032
 
+# reported confidence intervals have level 1 - BETA_CI
+BETA_CI = 0.05
+
 _D_MIN, _D_MAX = 1e-3, 1e3
 
 
@@ -105,7 +108,7 @@ def bide_closed_form(counts: BinomialCounts) -> float:
     return float(np.log(sum_a / sum_b) / np.log(counts.tau))
 
 
-def fisher_interval(d_star, tau, kb_values, beta=0.05):
+def fisher_interval(d_star, tau, kb_values, beta=BETA_CI):
     """Normal-approximation confidence interval at level 1 - beta from the
     independent-count information ``fisher_information``.
 
@@ -229,7 +232,7 @@ def twonn_equivalent_tau(graph: NeighborGraph, d_hat: float, c_star: float = C_S
     return tau_eq, BinomialCounts(k_a=k_a, k_b=k_b, tau=tau_eq)
 
 
-def twonn_estimate(graph: NeighborGraph, beta: float = 0.05) -> IdEstimate:
+def twonn_estimate(graph: NeighborGraph, beta: float = BETA_CI) -> IdEstimate:
     """Closed-form two-NN estimator: n over the summed log distance ratios."""
     if graph.depth < 2:
         raise InsufficientGraphDepthError("two-NN needs at least 2 stored neighbours")
@@ -267,7 +270,7 @@ def bide_fixed_radius(
     graph: NeighborGraph,
     t_b: float,
     tau: float,
-    beta: float = 0.05,
+    beta: float = BETA_CI,
     seed: int = 0,
     with_validation: bool = True,
 ) -> IdEstimate:
@@ -295,7 +298,7 @@ def bide_fixed_k(
     graph: NeighborGraph,
     k: int,
     tau: float,
-    beta: float = 0.05,
+    beta: float = BETA_CI,
     seed: int = 0,
     with_validation: bool = True,
 ) -> IdEstimate:

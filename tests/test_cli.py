@@ -1,5 +1,6 @@
 import json
 import hashlib
+import inspect
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from idscale import cli, datagen, estimators
+from idscale.adaptive import EstimatorConfig, babide
 from idscale.cli import load_dataset, main, run_benchmark, save_dataset_csv
 from idscale.errors import InvalidArgumentError, ParseError
 from idscale.geometry import Dataset, build_neighbor_graph
@@ -245,6 +247,42 @@ class TestBenchmarkCommand:
         assert cli._threads_from(8) == 3
         monkeypatch.delenv("IDSCALE_THREADS")
         assert cli._threads_from(8) == 8
+
+
+class TestEstimatorDefaults:
+    """Every estimator default of the commands comes from EstimatorConfig."""
+
+    @staticmethod
+    def expected():
+        cfg = EstimatorConfig()
+        prior = inspect.signature(babide).parameters
+        flag = {mode: name for name, mode in cli._THRESHOLD_MODES.items()}
+        return {
+            "alpha": cfg.alpha, "kmax": cfg.k_max, "max_iter": cfg.max_iter,
+            "tol": cfg.delta, "beta_ci": cfg.beta_ci,
+            "threshold_mode": flag[cfg.threshold_mode], "seed": cfg.seed,
+            "alpha0": prior["alpha0"].default, "beta0": prior["beta0"].default,
+        }
+
+    @pytest.mark.parametrize("command", ["estimate", "scan", "benchmark"])
+    def test_click_defaults(self, command):
+        defaults = {p.name: p.default for p in main.commands[command].params}
+        for key, value in self.expected().items():
+            assert defaults[key] == value, key
+
+    def test_run_benchmark_defaults(self, monkeypatch):
+        seen = []
+
+        def capture(payload):
+            seen.append(payload["config"])
+            return {"replica": payload["replica"], "d": 2.0}
+
+        monkeypatch.setattr(cli, "_benchmark_replica", capture)
+        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
+        run_benchmark(spec, "abide", replicas=1, threads=1)
+        expected = self.expected()
+        del expected["seed"]  # replicas take their seeds from the generator spec
+        assert {key: seen[0][key] for key in expected} == expected
 
 
 class TestGenerateCommand:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from idscale.errors import (
     DegenerateDatasetError,
     DegenerateScaleError,
     EstimateUnboundedError,
+    InsufficientGraphDepthError,
     InvalidArgumentError,
 )
 from idscale.estimators import (
@@ -76,18 +79,29 @@ class TestTwoNN:
         with pytest.raises(DegenerateDatasetError, match="^1 points"):
             twonn_estimate(g)
 
-    def test_near_duplicates_are_degenerate(self):
+    @staticmethod
+    def near_duplicate_graph():
         # distinct points 1e-7 apart at offset 100: the expanded-form
         # distance rounds r1 = r2 = 0 for three points, which gave d = nan
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(300, 10))
         pts[:3] = 100 + 1e-7 * rng.normal(size=(3, 10))
-        g = build_neighbor_graph(Dataset(pts), K=61)
+        return build_neighbor_graph(Dataset(pts), K=61)
+
+    def test_near_duplicates_are_degenerate(self):
+        g = self.near_duplicate_graph()
         assert np.count_nonzero(g.distances == 0) == 6
         with pytest.raises(DegenerateDatasetError, match="^3 points"):
             twonn_estimate(g)
-        with pytest.raises(DegenerateDatasetError, match="^3 points"), np.errstate(divide="ignore"):
-            abide(g, EstimatorConfig(k_max=60))
+        # abide raises before any log of the zero radii, so without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDatasetError, match="^3 points"):
+                abide(g, EstimatorConfig(k_max=60))
+
+    def test_depth_error_precedes_degenerate(self):
+        with pytest.raises(InsufficientGraphDepthError):
+            abide(self.near_duplicate_graph(), EstimatorConfig(k_max=61))
 
 
 class TestBideClosedForm:

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import epps_singleton_2samp
 
 from idscale.errors import DegenerateSampleError, InvalidArgumentError
 from idscale.specfun import (
@@ -13,6 +18,7 @@ from idscale.specfun import (
     std_normal_quantile,
     trigamma,
 )
+from idscale.specfun import _histogram, _pooled_semi_iqr
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -165,3 +171,78 @@ class TestEppsSingleton:
     def test_empty_sample(self):
         with pytest.raises(InvalidArgumentError):
             epps_singleton(np.array([]), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample(self, bad):
+        a = np.random.default_rng(6).binomial(20, 0.3, size=50).astype(float)
+        a[17] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            epps_singleton(a, np.arange(50.0))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            epps_singleton(np.arange(50.0), a)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=900)
+    return {
+        # the validation shape: a large synthetic mixture against observed counts
+        "binomial-mixture": (rng.binomial(rng.choice(np.arange(40, 351), 7700), 0.2),
+                             rng.binomial(rng.choice(np.arange(40, 351), 770), 0.2)),
+        "binomial-ties": (rng.binomial(12, 0.3, size=400), rng.binomial(12, 0.35, size=300)),
+        "binomial-small": (rng.binomial(30, 0.4, size=25), rng.binomial(30, 0.4, size=31)),
+        "continuous": (rng.normal(size=500), rng.standard_t(5, size=650)),
+        "shifted": (x[:450], x[450:] + 0.4),
+    }
+
+
+def assert_sigma_is_percentile(a, b):
+    q75, q25 = np.percentile(np.concatenate([a, b]).astype(float), [75, 25])
+    sigma = _pooled_semi_iqr(_histogram(a), _histogram(b))
+    assert sigma == 0.5 * (q75 - q25)
+    return sigma
+
+
+class TestEppsSingletonOracle:
+    """scipy's per-draw ``epps_singleton_2samp`` is the reference for the
+    histogram computation.  Both samples hold at least 25 draws, where
+    scipy applies no small-sample correction either."""
+
+    @pytest.mark.parametrize("case", sorted(_oracle_cases()))
+    def test_matches_scipy(self, case):
+        a, b = _oracle_cases()[case]
+        ours = epps_singleton(a, b)
+        ref = epps_singleton_2samp(a, b)
+        assert ours.statistic == pytest.approx(ref.statistic, rel=1e-8)
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-8)
+
+    @pytest.mark.parametrize("case", sorted(_oracle_cases()))
+    def test_sigma_bit_equal_to_percentile(self, case):
+        assert_sigma_is_percentile(*_oracle_cases()[case])
+
+    def test_sigma_interpolates_like_numpy(self):
+        # few, widely spread values: interpolating from the wrong end of
+        # a quartile's bracket differs from numpy in the last bit
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            assert_sigma_is_percentile(rng.lognormal(sigma=3, size=rng.integers(1, 8)),
+                                       rng.normal(scale=10, size=rng.integers(1, 8)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.lists(st.integers(0, 40), min_size=25, max_size=120),
+        b=st.lists(st.integers(0, 45), min_size=25, max_size=120),
+    )
+    def test_random_integer_samples(self, a, b):
+        a, b = np.array(a), np.array(b)
+        sigma = assert_sigma_is_percentile(a, b)
+        # a sample with few distinct values makes the covariance (near)
+        # singular, where pinv amplifies any rounding difference
+        assume(sigma > 0 and min(np.unique(a).size, np.unique(b).size) >= 5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ref = epps_singleton_2samp(a, b)
+        assume(not caught)  # scipy then lowers the chi-square df below 4
+        ours = epps_singleton(a, b)
+        assert ours.statistic == pytest.approx(ref.statistic, rel=1e-8)
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-8)
