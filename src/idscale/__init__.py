@@ -9,6 +9,7 @@ from .adaptive import (
     agride,
     babide,
     lrt_statistic,
+    run_method,
     select_k_star_all,
 )
 from .estimators import (
@@ -30,7 +31,6 @@ from .geometry import (
     NeighborGraph,
     build_neighbor_graph,
     counts_within_open_balls,
-    log_ball_volume,
 )
 from .validation import ValidationReport, sample_mixture, validate_model
 
@@ -58,9 +58,9 @@ __all__ = [
     "counts_within_open_balls",
     "fisher_interval",
     "gride_mle",
-    "log_ball_volume",
     "lrt_statistic",
     "optimal_tau",
+    "run_method",
     "sample_mixture",
     "select_k_star_all",
     "twonn_estimate",

@@ -10,7 +10,7 @@ generalized-ratio likelihood) until the iterate stabilizes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,12 +22,15 @@ from .errors import (
 )
 from .estimators import (
     BETA_CI,
+    BETA_PRIOR,
     C_STAR,
     BinomialCounts,
     IdEstimate,
     IterationRecord,
     beta_posterior,
     bide_closed_form,
+    bide_fixed_k,
+    bide_fixed_radius,
     gride_mle_from_ratios,
     optimal_tau,
     shared_pair_fisher,
@@ -42,6 +45,8 @@ _LOG4 = float(np.log(4.0))
 K_MIN = 2  # smallest tested neighbourhood; keeps k_B* = k* - 1 >= 1
 
 THRESHOLD_MODES = ("fixed", "bonferroni_h", "bonferroni_n", "bonferroni_nh")
+
+METHODS = ("twonn", "bide-r", "bide-k", "abide", "agride", "babide")
 
 
 @dataclass
@@ -105,10 +110,13 @@ class AdaptiveState:
 
 @dataclass
 class AbideResult:
+    """An estimate and, for the adaptive methods, the loop's final state;
+    the fixed-scale methods leave the last three fields None."""
+
     estimate: IdEstimate
-    state: AdaptiveState
-    iterations_run: int
-    converged: bool
+    state: AdaptiveState | None = None
+    iterations_run: int | None = None
+    converged: bool | None = None
 
 
 def lrt_statistic(d, k, log_r_i_k, log_r_j_k):
@@ -117,7 +125,9 @@ def lrt_statistic(d, k, log_r_i_k, log_r_j_k):
 
     Ball volumes enter only through d * log r (the unit-ball constant
     cancels), so the statistic is computed with log-sum-exp and is exactly
-    scale invariant.
+    scale invariant.  The k* selection reads the same test off the
+    rejection onsets and never calls this; it is kept as the reference the
+    tests check the onsets against.
     """
     if np.any(np.asarray(d) <= 0):
         raise InvalidArgumentError("dimension must be positive")
@@ -265,8 +275,8 @@ def abide(graph: NeighborGraph, config: EstimatorConfig | None = None) -> AbideR
 def babide(
     graph: NeighborGraph,
     config: EstimatorConfig | None = None,
-    alpha0: float = 1.0,
-    beta0: float = 1.0,
+    alpha0: float = BETA_PRIOR,
+    beta0: float = BETA_PRIOR,
 ) -> AbideResult:
     """Bayesian variant: the iteration update is the posterior mean.
 
@@ -306,3 +316,54 @@ def agride(graph: NeighborGraph, config: EstimatorConfig | None = None) -> Abide
         return gride_update_from_k_star(graph_, k_star)
 
     return _adaptive_loop(graph, config, update)
+
+
+def _given(value, name: str, method: str):
+    if value is None:
+        raise InvalidArgumentError(f"--{name} is required for method {method}")
+    return value
+
+
+def required_depth(method: str, n: int, config: EstimatorConfig, *, k: int | None,
+                   depth: int) -> int:
+    """Neighbour orders ``method`` needs stored for n distinct points;
+    ``depth`` is the one bide-r stores, as its radii have no natural bound."""
+    if method not in METHODS:
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    if method == "twonn":
+        return 2
+    if method == "bide-k":
+        return min(n - 1, max(_given(k, "k", method), 2))
+    return min(n - 1, depth if method == "bide-r" else min(config.k_max, n - 2) + 1)
+
+
+def run_method(method: str, graph: NeighborGraph, config: EstimatorConfig, *,
+               tau: float | None = None, tb: float | None = None, k: int | None = None,
+               alpha0: float = BETA_PRIOR, beta0: float = BETA_PRIOR) -> AbideResult:
+    """Run one of ``METHODS`` on ``graph``.
+
+    Every method takes its CI level from ``config.beta_ci``; bide-r (which
+    needs ``tb`` and ``tau``) and bide-k (``k`` and ``tau``) take their
+    validation seed from ``config.seed``.  The adaptive methods cap
+    ``config.k_max`` at n - 2, with a warning when that lowers it.
+    """
+    fixed = {"beta": config.beta_ci, "seed": config.seed}
+    if method == "twonn":
+        return AbideResult(twonn_estimate(graph, beta=config.beta_ci))
+    if method == "bide-r":
+        tb = _given(tb, "tb", method)
+        return AbideResult(bide_fixed_radius(graph, tb, _given(tau, "tau", method), **fixed))
+    if method == "bide-k":
+        k = _given(k, "k", method)
+        return AbideResult(bide_fixed_k(graph, k, _given(tau, "tau", method), **fixed))
+    if method not in METHODS:
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    k_max = min(config.k_max, graph.n_points - 2)
+    if k_max < config.k_max:
+        warnings.warn(f"k_max clamped to {k_max} for n={graph.n_points}")
+        config = replace(config, k_max=k_max)
+    if method == "abide":
+        return abide(graph, config)
+    if method == "agride":
+        return agride(graph, config)
+    return babide(graph, config, alpha0=alpha0, beta0=beta0)

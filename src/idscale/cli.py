@@ -9,22 +9,20 @@ import os
 import sys
 import time
 import urllib.request
-import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import click
 import numpy as np
 from scipy import stats as scipy_stats
 
 from . import adaptive as adaptive_mod
-from . import datagen, estimators
+from . import datagen, estimators, geometry
+from .adaptive import METHODS
 from .errors import IdscaleError, InvalidArgumentError, ParseError
 from .geometry import Dataset, build_neighbor_graph
 
 SCHEMA_VERSION = 1
-
-METHODS = ("twonn", "bide-r", "bide-k", "abide", "agride", "babide")
-ADAPTIVE_METHODS = ("abide", "agride", "babide")
 
 _THRESHOLD_MODES = {
     "fixed": "fixed",
@@ -33,20 +31,27 @@ _THRESHOLD_MODES = {
     "bonf-nh": "bonferroni_nh",
 }
 
-# the estimator defaults of every command: EstimatorConfig's, plus the
-# Beta prior of babide and the stored depth of bide-r
+# the estimator options of the commands, as name: (type, default), in
+# --help order; the defaults are EstimatorConfig's, babide's Beta prior and
+# the stored depth of bide-r
 _DEFAULTS = adaptive_mod.EstimatorConfig()
-_DEFAULT_CFG = {
-    "alpha": _DEFAULTS.alpha,
-    "kmax": _DEFAULTS.k_max,
-    "max_iter": _DEFAULTS.max_iter,
-    "tol": _DEFAULTS.delta,
-    "threshold_mode": {v: k for k, v in _THRESHOLD_MODES.items()}[_DEFAULTS.threshold_mode],
-    "beta_ci": _DEFAULTS.beta_ci,
-    "alpha0": 1.0,
-    "beta0": 1.0,
-    "depth": 512,
+_OPTIONS = {
+    "alpha": (float, _DEFAULTS.alpha),
+    "kmax": (int, _DEFAULTS.k_max),
+    "max_iter": (int, _DEFAULTS.max_iter),
+    "tol": (float, _DEFAULTS.delta),
+    "tau": (float, None),
+    "tb": (float, None),
+    "k": (int, None),
+    "alpha0": (float, estimators.BETA_PRIOR),
+    "beta0": (float, estimators.BETA_PRIOR),
+    "beta_ci": (float, _DEFAULTS.beta_ci),
+    "threshold_mode": (click.Choice(list(_THRESHOLD_MODES)),
+                       {v: k for k, v in _THRESHOLD_MODES.items()}[_DEFAULTS.threshold_mode]),
+    "depth": (int, 512),
+    "seed": (int, _DEFAULTS.seed),
 }
+_DEFAULT_CFG = {name: default for name, (_, default) in _OPTIONS.items()}
 
 OPTDIGITS_URL = (
     "https://archive.ics.uci.edu/ml/machine-learning-databases/optdigits/optdigits.tra"
@@ -175,70 +180,39 @@ def _fail(err: Exception) -> None:
 
 
 def _threads_from(option_value: int | None) -> int:
-    env = os.environ.get("IDSCALE_THREADS")
-    if env:
-        return max(1, int(env))
-    if option_value:
-        return max(1, option_value)
-    return os.cpu_count() or 1
+    """Replica workers: IDSCALE_THREADS, else --threads, else every core."""
+    value = os.environ.get("IDSCALE_THREADS") or option_value
+    if value is None:
+        return os.cpu_count() or 1
+    if not str(value).strip().isdecimal() or int(value) < 1:
+        raise InvalidArgumentError(f"thread count must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
-def _config_from(alpha, kmax, max_iter, tol, threshold_mode, beta_ci, seed, n):
-    kmax_eff = min(kmax, n - 2)
-    if kmax_eff < kmax:
-        warnings.warn(f"k_max clamped to {kmax_eff} for n={n}")
-    return adaptive_mod.EstimatorConfig(
-        alpha=alpha,
-        threshold_mode=_THRESHOLD_MODES[threshold_mode],
-        k_max=kmax_eff,
-        max_iter=max_iter,
-        delta=tol,
-        beta_ci=beta_ci,
-        seed=seed,
+def _build_and_run(methods: tuple[str, ...], dataset: Dataset, opts: dict):
+    """Run ``methods[0]`` on a graph deep enough for each of ``methods``.
+
+    ``opts`` holds every estimator option of ``_DEFAULT_CFG``.  Returns
+    the graph, the ``AbideResult`` and the graph and estimate wall times.
+    """
+    config = adaptive_mod.EstimatorConfig(
+        alpha=opts["alpha"], threshold_mode=_THRESHOLD_MODES[opts["threshold_mode"]],
+        k_max=opts["kmax"], max_iter=opts["max_iter"], delta=opts["tol"],
+        beta_ci=opts["beta_ci"], seed=opts["seed"],
     )
-
-
-def _required_depth(method, n, k, kmax, depth):
-    if method == "twonn":
-        return 2
-    if method == "bide-k":
-        if k is None:
-            raise InvalidArgumentError("--k is required for method bide-k")
-        return min(n - 1, max(k, 2))
-    if method == "bide-r":
-        return min(n - 1, depth)
-    return min(n - 1, min(kmax, n - 2) + 1)
-
-
-def _run_method(method, graph, *, config=None, tau=None, tb=None, k=None,
-                alpha0, beta0, beta_ci, seed):
-    """Dispatch shared by the estimate command and the benchmark workers."""
-    if method == "twonn":
-        est = estimators.twonn_estimate(graph, beta=beta_ci)
-        return est, None, None, None
-    if method == "bide-r":
-        if tb is None:
-            raise InvalidArgumentError("--tb is required for method bide-r")
-        if tau is None:
-            raise InvalidArgumentError("--tau is required for method bide-r")
-        est = estimators.bide_fixed_radius(graph, tb, tau, beta=beta_ci, seed=seed)
-        return est, None, None, None
-    if method == "bide-k":
-        if k is None:
-            raise InvalidArgumentError("--k is required for method bide-k")
-        if tau is None:
-            raise InvalidArgumentError("--tau is required for method bide-k")
-        est = estimators.bide_fixed_k(graph, k, tau, beta=beta_ci, seed=seed)
-        return est, None, None, None
-    if method == "abide":
-        res = adaptive_mod.abide(graph, config)
-    elif method == "agride":
-        res = adaptive_mod.agride(graph, config)
-    elif method == "babide":
-        res = adaptive_mod.babide(graph, config, alpha0=alpha0, beta0=beta0)
-    else:
-        raise InvalidArgumentError(f"unknown method {method!r}")
-    return res.estimate, res.state, res.iterations_run, res.converged
+    t0 = time.perf_counter()
+    # the depth is bounded by the number of distinct points
+    dataset, _ = geometry.deduplicate(dataset)
+    graph = build_neighbor_graph(dataset, max(
+        adaptive_mod.required_depth(m, dataset.n, config, k=opts["k"], depth=opts["depth"])
+        for m in methods
+    ))
+    t1 = time.perf_counter()
+    res = adaptive_mod.run_method(
+        methods[0], graph, config, tau=opts["tau"], tb=opts["tb"], k=opts["k"],
+        alpha0=opts["alpha0"], beta0=opts["beta0"],
+    )
+    return graph, res, {"graph_s": t1 - t0, "estimate_s": time.perf_counter() - t1}
 
 
 _PERIODIC_HELP = "comma-separated periods, one per column (or one value for all)"
@@ -259,29 +233,20 @@ def main():
     """Scale-adaptive intrinsic dimension estimation."""
 
 
-def _estimator_options(fn):
-    opts = [
-        click.option("--alpha", type=float, default=_DEFAULT_CFG["alpha"], show_default=True),
-        click.option("--kmax", type=int, default=_DEFAULT_CFG["kmax"], show_default=True),
-        click.option("--max-iter", type=int, default=_DEFAULT_CFG["max_iter"],
-                     show_default=True),
-        click.option("--tol", type=float, default=_DEFAULT_CFG["tol"], show_default=True),
-        click.option("--tau", type=float, default=None),
-        click.option("--tb", type=float, default=None),
-        click.option("--k", type=int, default=None),
-        click.option("--alpha0", type=float, default=_DEFAULT_CFG["alpha0"], show_default=True),
-        click.option("--beta0", type=float, default=_DEFAULT_CFG["beta0"], show_default=True),
-        click.option("--beta-ci", type=float, default=_DEFAULT_CFG["beta_ci"],
-                     show_default=True),
-        click.option("--threshold-mode", type=click.Choice(list(_THRESHOLD_MODES)),
-                     default=_DEFAULT_CFG["threshold_mode"], show_default=True),
-        click.option("--depth", type=int, default=_DEFAULT_CFG["depth"], show_default=True,
-                     help="stored neighbour orders for bide-r"),
-        click.option("--seed", type=int, default=_DEFAULTS.seed, show_default=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+def _estimator_options(*skip):
+    """Decorator adding the estimator options, less those named in ``skip``."""
+
+    def decorate(fn):
+        for name, (kind, default) in reversed(_OPTIONS.items()):
+            if name not in skip:
+                fn = click.option(
+                    "--" + name.replace("_", "-"), type=kind, default=default,
+                    show_default=True,
+                    help="stored neighbour orders for bide-r" if name == "depth" else None,
+                )(fn)
+        return fn
+
+    return decorate
 
 
 @main.command()
@@ -289,47 +254,28 @@ def _estimator_options(fn):
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
 @click.option("--periodic", type=str, default=None, help=_PERIODIC_HELP)
 @click.option("--output", type=str, default=None, help="report path or - for stdout")
-@_estimator_options
-def estimate(method, input_path, periodic, output, alpha, kmax, max_iter, tol, tau,
-             tb, k, alpha0, beta0, beta_ci, threshold_mode, depth, seed):
+@_estimator_options()
+def estimate(method, input_path, periodic, output, **opts):
     """Run one estimator on a CSV dataset and emit a JSON report."""
     try:
         dataset = load_dataset(input_path, _parse_periodic(periodic))
-        t0 = time.perf_counter()
-        graph = build_neighbor_graph(
-            dataset, _required_depth(method, dataset.n, k, kmax, depth)
-        )
-        graph_s = time.perf_counter() - t0
-        config = None
-        if method in ADAPTIVE_METHODS:
-            config = _config_from(alpha, kmax, max_iter, tol, threshold_mode,
-                                  beta_ci, seed, graph.n_points)
-        t0 = time.perf_counter()
-        est, state, iterations, converged = _run_method(
-            method, graph, config=config, tau=tau, tb=tb, k=k,
-            alpha0=alpha0, beta0=beta0, beta_ci=beta_ci, seed=seed,
-        )
-        estimate_s = time.perf_counter() - t0
+        graph, res, timing = _build_and_run((method,), dataset, opts)
     except IdscaleError as err:
         _fail(err)
         return
+    config = {key: opts[key] for key in _OPTIONS if key not in ("depth", "seed")}
     report = {
         "schema_version": SCHEMA_VERSION,
         "method": method,
         "dataset": dataset_fingerprint(graph.dataset),
-        "config": {
-            "alpha": alpha, "kmax": kmax, "max_iter": max_iter, "tol": tol,
-            "tau": tau, "tb": tb, "k": k, "alpha0": alpha0, "beta0": beta0,
-            "beta_ci": beta_ci, "threshold_mode": threshold_mode,
-            "periodic": periodic, "seed": seed,
-        },
-        "estimate": _estimate_dict(est),
-        "timing": {"graph_s": graph_s, "estimate_s": estimate_s},
+        "config": {**config, "periodic": periodic, "seed": opts["seed"]},
+        "estimate": _estimate_dict(res.estimate),
+        "timing": timing,
     }
-    if state is not None:
-        report["k_star"] = _k_star_summary(state)
-        report["iterations_run"] = iterations
-        report["converged"] = converged
+    if res.state is not None:
+        report["k_star"] = _k_star_summary(res.state)
+        report["iterations_run"] = res.iterations_run
+        report["converged"] = res.converged
     _emit(report, output)
 
 
@@ -343,56 +289,44 @@ def estimate(method, input_path, periodic, output, alpha, kmax, max_iter, tol, t
 @click.option("--k-min", type=int, default=2, show_default=True)
 @click.option("--k-max-scan", type=int, default=None)
 @click.option("--output", type=str, default=None)
-@_estimator_options
+@_estimator_options("tb", "k", "alpha0", "beta0")
 def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_scan,
-         output, alpha, kmax, max_iter, tol, tau, tb, k, alpha0, beta0, beta_ci,
-         threshold_mode, depth, seed):
+         output, **opts):
     """Sweep fixed-radius or fixed-k estimates across a grid, with the
     adaptive estimate as the starred reference."""
     try:
         dataset = load_dataset(input_path, _parse_periodic(periodic))
-        need = max(min(kmax, dataset.n - 2) + 1, min(dataset.n - 1, depth))
-        t0 = time.perf_counter()
-        graph = build_neighbor_graph(dataset, need)
-        graph_s = time.perf_counter() - t0
-        config = _config_from(alpha, kmax, max_iter, tol, threshold_mode, beta_ci,
-                              seed, graph.n_points)
-        ref = adaptive_mod.abide(graph, config)
-        tau_eff = tau if tau is not None else estimators.optimal_tau(ref.estimate.d)
+        # one graph for the abide reference and a bide-r depth of grid radii
+        graph, ref, timing = _build_and_run(("abide", "bide-r"), dataset,
+                                            {**_DEFAULT_CFG, **opts})
+        tau = opts["tau"] if opts["tau"] is not None else estimators.optimal_tau(ref.estimate.d)
     except IdscaleError as err:
         _fail(err)
         return
 
-    entries = []
     if mode == "radius":
         lo = tb_min if tb_min is not None else float(np.median(graph.distances[:, 0]))
         hi = tb_max if tb_max is not None else float(graph.distances[:, -1].min())
-        grid = np.geomspace(lo, hi, grid_size)
-        for t_b in grid:
-            entry = {"t_b": float(t_b)}
-            try:
-                est = estimators.bide_fixed_radius(graph, float(t_b), tau_eff, seed=seed)
-                entry.update(d=est.d, ci=list(est.ci), validation_p=est.validation_p)
-            except IdscaleError as err:
-                entry.update(error=err.kind, message=str(err))
-            entries.append(entry)
+        key, fit, grid = "t_b", estimators.bide_fixed_radius, np.geomspace(lo, hi, grid_size)
     else:
-        hi = k_max_scan if k_max_scan is not None else min(config.k_max, graph.depth)
+        hi = k_max_scan if k_max_scan is not None else min(ref.state.k_max, graph.depth)
+        key, fit = "k", estimators.bide_fixed_k
         grid = np.unique(np.geomspace(max(2, k_min), hi, grid_size).astype(int))
-        for k_val in grid:
-            entry = {"k": int(k_val)}
-            try:
-                est = estimators.bide_fixed_k(graph, int(k_val), tau_eff, seed=seed)
-                entry.update(d=est.d, ci=list(est.ci), validation_p=est.validation_p)
-            except IdscaleError as err:
-                entry.update(error=err.kind, message=str(err))
-            entries.append(entry)
+    entries = []
+    for scale in grid.tolist():
+        entry = {key: scale}
+        try:
+            est = fit(graph, scale, tau, beta=opts["beta_ci"], seed=opts["seed"])
+            entry.update(d=est.d, ci=list(est.ci), validation_p=est.validation_p)
+        except IdscaleError as err:
+            entry.update(error=err.kind, message=str(err))
+        entries.append(entry)
 
     _emit({
         "schema_version": SCHEMA_VERSION,
         "mode": mode,
         "dataset": dataset_fingerprint(graph.dataset),
-        "tau": tau_eff,
+        "tau": tau,
         "entries": entries,
         "abide_ref": {
             "d": ref.estimate.d,
@@ -400,7 +334,7 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
             "mean_t_b": float(ref.state.t_b.mean()),
             "mean_k_star": float(ref.state.k_star.mean()),
         },
-        "timing": {"graph_s": graph_s},
+        "timing": {"graph_s": timing["graph_s"]},
     }, output)
 
 
@@ -429,27 +363,10 @@ def _generator_options(fn):
 
 def _benchmark_replica(payload: dict) -> dict:
     """One seeded replica: generate, build the graph, run the method."""
-    spec = datagen.GeneratorSpec(**payload["spec"])
-    dataset = datagen.generate(spec)
-    method = payload["method"]
-    cfg = payload["config"]
-    t0 = time.perf_counter()
-    graph = build_neighbor_graph(
-        dataset,
-        _required_depth(method, dataset.n, cfg.get("k"), cfg["kmax"], cfg["depth"]),
-    )
-    graph_s = time.perf_counter() - t0
-    config = None
-    if method in ADAPTIVE_METHODS:
-        config = _config_from(cfg["alpha"], cfg["kmax"], cfg["max_iter"], cfg["tol"],
-                              cfg["threshold_mode"], cfg["beta_ci"], spec.seed,
-                              graph.n_points)
-    t0 = time.perf_counter()
-    est, state, iterations, converged = _run_method(
-        method, graph, config=config, tau=cfg.get("tau"), tb=cfg.get("tb"),
-        k=cfg.get("k"), alpha0=cfg["alpha0"], beta0=cfg["beta0"],
-        beta_ci=cfg["beta_ci"], seed=spec.seed,
-    )
+    spec = payload["spec"]
+    graph, res, timing = _build_and_run((payload["method"],), datagen.generate(spec),
+                                        {**payload["config"], "seed": spec.seed})
+    est = res.estimate
     out = {
         "replica": payload["replica"],
         "seed": spec.seed,
@@ -457,12 +374,12 @@ def _benchmark_replica(payload: dict) -> dict:
         "d": est.d,
         "fisher_info": est.fisher_info,
         "validation_p": est.validation_p,
-        "timing": {"graph_s": graph_s, "estimate_s": time.perf_counter() - t0},
+        "timing": timing,
     }
-    if state is not None:
-        out["mean_k_star"] = float(state.k_star.mean())
-        out["converged"] = converged
-        out["iterations_run"] = iterations
+    if res.state is not None:
+        out["mean_k_star"] = float(res.state.k_star.mean())
+        out["converged"] = res.converged
+        out["iterations_run"] = res.iterations_run
     return out
 
 
@@ -470,8 +387,7 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
                   threads: int = 1, normality: bool = False, d_true: float | None = None,
                   estimator_cfg: dict | None = None) -> dict:
     """Seeded Monte Carlo replicas of one generator/method pair."""
-    cfg = {**_DEFAULT_CFG, "tau": None, "tb": None, "k": None}
-    cfg.update(estimator_cfg or {})
+    cfg = {**_DEFAULT_CFG, **(estimator_cfg or {})}
     if normality:
         if d_true is None:
             raise InvalidArgumentError("--normality requires --d-true")
@@ -480,14 +396,10 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
                 "--normality needs a method that reports fisher_info, not twonn"
             )
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(spec.seed).spawn(replicas)]
-    payloads = []
-    for r, s in enumerate(seeds):
-        spec_r = {
-            "kind": spec.kind, "n": spec.n, "d": spec.d, "ambient_dim": spec.ambient_dim,
-            "sigma_s": spec.sigma_s, "sigma_eps": spec.sigma_eps, "ratio": spec.ratio,
-            "seed": s,
-        }
-        payloads.append({"spec": spec_r, "method": method, "config": cfg, "replica": r})
+    payloads = [
+        {"spec": replace(spec, seed=s), "method": method, "config": cfg, "replica": r}
+        for r, s in enumerate(seeds)
+    ]
     if threads > 1 and replicas > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_benchmark_replica, payloads))
@@ -527,22 +439,15 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
 @click.option("--normality", is_flag=True, default=False)
 @click.option("--d-true", type=float, default=None)
 @click.option("--output", type=str, default=None)
-@_estimator_options
+@_estimator_options()
 def benchmark(generator, n, d, ambient_dim, sigma_s, sigma_eps, ratio, method,
-              replicas, threads, normality, d_true, output, alpha, kmax, max_iter,
-              tol, tau, tb, k, alpha0, beta0, beta_ci, threshold_mode, depth, seed):
+              replicas, threads, normality, d_true, output, seed, **opts):
     """Monte Carlo benchmark with deterministic per-replica seed streams."""
     try:
         spec = _generator_spec(generator, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed)
         summary = run_benchmark(
             spec, method, replicas, threads=_threads_from(threads),
-            normality=normality, d_true=d_true,
-            estimator_cfg={
-                "alpha": alpha, "kmax": kmax, "max_iter": max_iter, "tol": tol,
-                "threshold_mode": threshold_mode, "beta_ci": beta_ci,
-                "alpha0": alpha0, "beta0": beta0, "tau": tau, "tb": tb, "k": k,
-                "depth": depth,
-            },
+            normality=normality, d_true=d_true, estimator_cfg=opts,
         )
     except IdscaleError as err:
         _fail(err)

@@ -31,6 +31,9 @@ C_STAR = 0.2032
 # reported confidence intervals have level 1 - BETA_CI
 BETA_CI = 0.05
 
+# default alpha0 and beta0 of the Bayesian estimator's Beta prior on tau^d
+BETA_PRIOR = 1.0
+
 _D_MIN, _D_MAX = 1e-3, 1e3
 
 
@@ -340,7 +343,7 @@ def _finish_bide(graph, counts, d_hat, beta, seed, with_validation):
     )
 
 
-def beta_posterior(counts: BinomialCounts, alpha0: float = 1.0, beta0: float = 1.0) -> PosteriorSummary:
+def beta_posterior(counts: BinomialCounts, alpha0: float = BETA_PRIOR, beta0: float = BETA_PRIOR) -> PosteriorSummary:
     """Conjugate Beta posterior for p = tau^d, mapped to the ID scale.
 
     Posterior mean and variance follow from the digamma/trigamma moments of
@@ -363,7 +366,11 @@ def beta_posterior(counts: BinomialCounts, alpha0: float = 1.0, beta0: float = 1
 
 def gride_log_likelihood(mu, d, n1, n2):
     """Log-likelihood of distance ratios mu = r_{n2}/r_{n1} at dimension d
-    (additive Beta-function constant dropped)."""
+    (additive Beta-function constant dropped).
+
+    The estimators find the maximum as a root of the score and never call
+    this; it is kept as the reference the tests check the maximizer against.
+    """
     mu = np.asarray(mu, dtype=np.float64)
     n1 = np.asarray(n1, dtype=np.float64)
     n2 = np.asarray(n2, dtype=np.float64)

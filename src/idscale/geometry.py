@@ -1,4 +1,4 @@
-"""Metrics, exact k-nearest-neighbour graphs and log-volume utilities.
+"""Metrics, exact k-nearest-neighbour graphs and open-ball counts.
 
 Distances are either plain Euclidean or per-coordinate periodic
 (minimal-image convention, then Euclidean aggregation), which covers
@@ -14,11 +14,11 @@ to a full stable sort.
 
 from __future__ import annotations
 
+import copy
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateDatasetError,
@@ -27,8 +27,6 @@ from .errors import (
 )
 
 logger = logging.getLogger(__name__)
-
-_LOG_PI = float(np.log(np.pi))
 
 
 @dataclass(frozen=True)
@@ -127,16 +125,23 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray, periods: np.ndarray | None)
 
 
 def deduplicate(dataset: Dataset) -> tuple[Dataset, int]:
-    """Drop exact duplicate points, keeping the first occurrence of each."""
-    _, first = np.unique(dataset.points, axis=0, return_index=True)
-    if first.size == dataset.n:
+    """Drop exact duplicate points, keeping the first occurrence of each.
+
+    The result is marked as free of duplicates, so that the pass
+    ``build_neighbor_graph`` makes over it again costs nothing.
+    """
+    if dataset.__dict__.get("_distinct"):
         return dataset, 0
+    _, first = np.unique(dataset.points, axis=0, return_index=True)
     if first.size < 2:
         raise DegenerateDatasetError("all points are identical")
-    keep = np.sort(first)
-    removed = dataset.n - keep.size
-    logger.info("removed %d duplicate points before graph construction", removed)
-    return Dataset(dataset.points[keep], dataset.periods), removed
+    removed = dataset.n - first.size
+    if removed:
+        logger.info("removed %d duplicate points before graph construction", removed)
+    # a copy carries the mark, so the caller's dataset object is left as it was
+    out = Dataset(dataset.points[np.sort(first)], dataset.periods) if removed else copy.copy(dataset)
+    object.__setattr__(out, "_distinct", True)
+    return out, removed
 
 
 def build_neighbor_graph(dataset: Dataset, K: int, chunk_rows: int = 512) -> NeighborGraph:
@@ -190,18 +195,6 @@ def _k_smallest(block: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> None:
         full = np.argsort(rows, axis=1, kind="stable")[:, :K]
         idx[tied] = full
         dist[tied] = np.take_along_axis(rows, full, axis=1)
-
-
-def log_ball_volume(d: float, log_r: float | np.ndarray):
-    """log of the volume of a ball of radius exp(log_r) in dimension d.
-
-    Computed entirely in log space: log Omega_d + d * log_r with
-    log Omega_d = (d/2) log pi - logGamma(d/2 + 1).
-    """
-    if d <= 0:
-        raise InvalidArgumentError(f"dimension must be positive, got {d}")
-    log_omega = 0.5 * d * _LOG_PI - gammaln(0.5 * d + 1.0)
-    return log_omega + d * np.asarray(log_r)
 
 
 def counts_within_open_balls(graph: NeighborGraph, radii: np.ndarray) -> np.ndarray:

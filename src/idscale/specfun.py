@@ -41,10 +41,6 @@ def chi2_quantile_1df(prob: float) -> float:
     return float(2.0 * special.gammaincinv(0.5, prob))
 
 
-def chi2_cdf_1df(x: float) -> float:
-    return float(special.gammainc(0.5, 0.5 * x))
-
-
 def chi2_sf(x, df: int):
     """Upper tail of the chi-square distribution with ``df`` degrees of freedom."""
     return special.gammaincc(0.5 * df, 0.5 * np.asarray(x))
@@ -55,10 +51,6 @@ def std_normal_quantile(prob: float) -> float:
     if not 0.0 < prob < 1.0:
         raise InvalidArgumentError(f"prob must lie in (0, 1), got {prob}")
     return float(special.ndtri(prob))
-
-
-def std_normal_cdf(x: float) -> float:
-    return float(special.ndtr(x))
 
 
 def digamma(z):
@@ -124,7 +116,9 @@ def epps_singleton(sample_a, sample_b) -> EppsSingletonResult:
     evaluation per distinct value rather than per draw.  When
     ``min(n_a, n_b) < 25`` the statistic is shrunk by the usual
     small-sample correction factor.  The p-value comes from the
-    chi-square tail with 4 degrees of freedom.
+    chi-square tail with as many degrees of freedom as the pseudo-inverted
+    covariance has rank (4 unless the samples take few distinct values),
+    as in ``scipy.stats.epps_singleton_2samp``.
     """
     va, ca = hist_a = _histogram(sample_a)
     vb, cb = hist_b = _histogram(sample_b)
@@ -149,10 +143,12 @@ def epps_singleton(sample_a, sample_b) -> EppsSingletonResult:
     mean_a, cov_a = moments(va, ca, n_a)
     mean_b, cov_b = moments(vb, cb, n_b)
     diff = mean_a - mean_b
-    cov = (n / n_a) * cov_a + (n / n_b) * cov_b
-    w = float(n * diff @ np.linalg.pinv(cov) @ diff)
+    cov_inv = np.linalg.pinv((n / n_a) * cov_a + (n / n_b) * cov_b)
+    df = int(np.linalg.matrix_rank(cov_inv))
+    if df == 0:
+        raise DegenerateSampleError("both samples are constant; the covariance is zero")
+    w = float(n * diff @ cov_inv @ diff)
     w = max(w, 0.0)
     if min(n_a, n_b) < 25:
         w *= 1.0 / (1.0 + n ** -0.45 + 10.1 * (n_a ** -1.7 + n_b ** -1.7))
-    df = 2 * len(_ES_POINTS)
     return EppsSingletonResult(statistic=w, p_value=float(chi2_sf(w, df)), df=df)

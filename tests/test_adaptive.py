@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from idscale.adaptive import (
     K_MIN,
+    METHODS,
+    AbideResult,
     AdaptiveState,
     EstimatorConfig,
     abide,
@@ -10,6 +14,8 @@ from idscale.adaptive import (
     babide,
     gride_update_from_k_star,
     lrt_statistic,
+    required_depth,
+    run_method,
     select_k_star_all,
 )
 from idscale.datagen import (
@@ -303,3 +309,66 @@ class TestBabideAndAgride:
         k_star = res.state.k_star
         n1 = np.maximum(1, k_star // 2)
         assert np.all(n1 >= 1) and np.all(n1 < k_star)
+
+
+ADAPTIVE = ("abide", "agride", "babide")
+FIXED_SCALE_PARAMS = {"tau": 0.5, "tb": 0.1, "k": 10}
+
+
+@pytest.fixture(scope="module")
+def torus_150():
+    return gen_uniform_hypercube_periodic(n=150, d=2, seed=3)
+
+
+class TestRunMethod:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_result_at_required_depth(self, torus_150, method):
+        config = EstimatorConfig()
+        depth = required_depth(method, torus_150.n, config, k=10, depth=512)
+        graph = build_neighbor_graph(torus_150, depth)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run_method(method, graph, config, **FIXED_SCALE_PARAMS)
+        assert isinstance(res, AbideResult)
+        assert np.isfinite(res.estimate.d) and res.estimate.d > 0
+        adaptive = method in ADAPTIVE
+        assert (res.state is not None) == adaptive
+        assert (res.iterations_run is not None) == (res.converged is not None) == adaptive
+        # the default k_max = 350 is capped at n - 2 for the adaptive methods only
+        clamps = [w for w in caught if "k_max clamped to 148 for n=150" in str(w.message)]
+        assert len(clamps) == adaptive
+        if adaptive:
+            assert res.state.k_max == 148 and config.k_max == 350
+
+    @pytest.mark.parametrize("method", ["twonn", "bide-r", "bide-k"])
+    def test_fixed_scale_methods_read_the_config(self, torus_150, method):
+        graph = build_neighbor_graph(torus_150, 149)
+
+        def run(**cfg):
+            return run_method(method, graph, EstimatorConfig(**cfg), **FIXED_SCALE_PARAMS)
+
+        wide, narrow = run(beta_ci=0.05).estimate, run(beta_ci=0.5).estimate
+        assert wide.d == narrow.d
+        assert wide.ci[0] < narrow.ci[0] < narrow.ci[1] < wide.ci[1]
+        if method != "twonn":
+            assert run(seed=1).estimate.validation_p != run(seed=2).estimate.validation_p
+
+    @pytest.mark.parametrize("method, missing", [
+        ("bide-r", "tb"), ("bide-r", "tau"), ("bide-k", "k"), ("bide-k", "tau"),
+    ])
+    def test_missing_parameter(self, torus_150, method, missing):
+        graph = build_neighbor_graph(torus_150, 149)
+        params = {**FIXED_SCALE_PARAMS, missing: None}
+        with pytest.raises(InvalidArgumentError, match=f"--{missing} is required"):
+            run_method(method, graph, EstimatorConfig(), **params)
+
+    def test_bide_k_depth_needs_k(self):
+        with pytest.raises(InvalidArgumentError, match="--k is required"):
+            required_depth("bide-k", 150, EstimatorConfig(), k=None, depth=512)
+
+    def test_unknown_method(self, torus_150):
+        graph = build_neighbor_graph(torus_150, 149)
+        with pytest.raises(InvalidArgumentError, match="unknown method"):
+            run_method("mle", graph, EstimatorConfig(), **FIXED_SCALE_PARAMS)
+        with pytest.raises(InvalidArgumentError, match="unknown method"):
+            required_depth("mle", 150, EstimatorConfig(), k=10, depth=512)

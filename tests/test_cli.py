@@ -2,6 +2,7 @@ import json
 import hashlib
 import inspect
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,26 @@ class TestEstimateCommand:
         err = json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
         assert err["error"] == "degenerate-dataset"
 
+    @pytest.mark.parametrize("args, clamped", [
+        (["estimate", "--method", "abide"], True),
+        (["estimate", "--method", "bide-r", "--tb", "0.5", "--tau", "0.5"], False),
+        (["scan", "--mode", "k"], True),
+    ])
+    def test_depth_from_distinct_points(self, runner, tmp_path, args, clamped):
+        # 300 rows, the last 10 exact copies: depth and k_max follow the 290 distinct
+        pts = np.random.default_rng(3).normal(size=(290, 3))
+        path = str(tmp_path / "dup.csv")
+        save_dataset_csv(Dataset(np.vstack([pts, pts[:10]])), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = invoke(runner, args + ["--input", path])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.stdout)
+        assert report["dataset"]["n"] == 290
+        assert ("k_max clamped to 288 for n=290" in [str(w.message) for w in caught]) == clamped
+        if args[0] == "scan":
+            assert report["entries"][-1]["k"] == 288
+
     def test_parse_error_exit_code(self, runner, tmp_path):
         path = write(tmp_path, "bad.csv", "1,2\n3\n")
         result = invoke(runner, ["estimate", "--method", "twonn", "--input", path])
@@ -180,6 +201,30 @@ class TestScanCommand:
         for entry in report["entries"]:
             if "d" in entry:
                 assert 1.0 <= entry["d"] <= 3.0
+
+    def test_grid_intervals_follow_beta_ci(self, runner, tmp_path):
+        ds = datagen.gen_uniform_hypercube_periodic(n=500, d=2, seed=2)
+        path = str(tmp_path / "torus.csv")
+        save_dataset_csv(ds, path)
+
+        def entries(beta_ci):
+            result = invoke(runner, [
+                "scan", "--mode", "k", "--input", path, "--periodic", "1", "--grid-size",
+                "3", "--k-min", "5", "--k-max-scan", "40", "--kmax", "60", "--beta-ci", beta_ci,
+            ])
+            assert result.exit_code == 0
+            return json.loads(result.stdout)["entries"]
+
+        for wide, narrow in zip(entries("0.05"), entries("0.5")):
+            assert wide["d"] == narrow["d"]
+            assert wide["ci"][0] < narrow["ci"][0] < narrow["ci"][1] < wide["ci"][1]
+
+    @pytest.mark.parametrize("option", ["--tb", "--k", "--alpha0", "--beta0"])
+    def test_unused_options_are_rejected(self, runner, tmp_path, option):
+        path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n")
+        result = invoke(runner, ["scan", "--mode", "k", "--input", path, option, "3"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output + getattr(result, "stderr", "")
 
 
 class TestBenchmarkCommand:
@@ -248,6 +293,20 @@ class TestBenchmarkCommand:
         monkeypatch.delenv("IDSCALE_THREADS")
         assert cli._threads_from(8) == 8
 
+    @pytest.mark.parametrize("env, option", [
+        ("abc", None), ("0", None), ("-2", "4"), ("1.5", None), (None, "0"), (None, "-1"),
+    ])
+    def test_bad_thread_count_exit_code(self, runner, monkeypatch, env, option):
+        monkeypatch.delenv("IDSCALE_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("IDSCALE_THREADS", env)
+        args = ["benchmark", "--generator", "uniform_hypercube_periodic", "--n", "200",
+                "--d", "2", "--method", "twonn", "--replicas", "2"]
+        result = invoke(runner, args + (["--threads", option] if option else []))
+        assert result.exit_code == 2
+        err = json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
+        assert err["error"] == "invalid-argument"
+
 
 class TestEstimatorDefaults:
     """Every estimator default of the commands comes from EstimatorConfig."""
@@ -267,7 +326,10 @@ class TestEstimatorDefaults:
     @pytest.mark.parametrize("command", ["estimate", "scan", "benchmark"])
     def test_click_defaults(self, command):
         defaults = {p.name: p.default for p in main.commands[command].params}
-        for key, value in self.expected().items():
+        expected = self.expected()
+        if command == "scan":  # the reference is abide, which takes no Beta prior
+            del expected["alpha0"], expected["beta0"]
+        for key, value in expected.items():
             assert defaults[key] == value, key
 
     def test_run_benchmark_defaults(self, monkeypatch):

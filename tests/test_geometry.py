@@ -12,7 +12,6 @@ from idscale.geometry import (
     Dataset,
     build_neighbor_graph,
     counts_within_open_balls,
-    log_ball_volume,
     pairwise_distances,
 )
 
@@ -231,34 +230,6 @@ class TestMetricProperties:
         for _ in range(200):
             i, j, k = rng.integers(30, size=3)
             assert d[i, k] <= d[i, j] + d[j, k] + 1e-12
-
-
-class TestLogBallVolume:
-    def test_unit_disk(self):
-        assert log_ball_volume(2.0, 0.0) == pytest.approx(np.log(np.pi), abs=1e-12)
-
-    def test_unit_sphere(self):
-        assert log_ball_volume(3.0, 0.0) == pytest.approx(np.log(4 * np.pi / 3), abs=1e-12)
-
-    def test_high_dimension_log_gamma_identity(self):
-        # independent oracle: high precision mpmath evaluation of
-        # (d/2) log pi - logGamma(d/2 + 1)
-        import mpmath
-
-        d = 1000.0
-        expected = float(mpmath.mpf(d) / 2 * mpmath.log(mpmath.pi) - mpmath.loggamma(d / 2 + 1))
-        got = log_ball_volume(d, 0.0)
-        assert np.isfinite(got)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_radius_difference_cancels_constant(self):
-        for d in (0.5, 2.0, 37.0, 1e4):
-            lhs = log_ball_volume(d, 1.3) - log_ball_volume(d, -0.4)
-            assert lhs == pytest.approx(d * (1.3 + 0.4), rel=1e-12)
-
-    def test_rejects_nonpositive_dimension(self):
-        with pytest.raises(InvalidArgumentError):
-            log_ball_volume(0.0, 0.0)
 
 
 class TestOpenBallCounts:

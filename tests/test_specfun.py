@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
-from scipy.stats import epps_singleton_2samp
+from scipy.stats import chi2, epps_singleton_2samp
 
 from idscale.errors import DegenerateSampleError, InvalidArgumentError
 from idscale.specfun import (
-    chi2_cdf_1df,
     chi2_quantile_1df,
     chi2_sf,
     digamma,
     epps_singleton,
-    std_normal_cdf,
     std_normal_quantile,
     trigamma,
 )
@@ -65,7 +64,8 @@ class TestChi2:
 
     def test_round_trip(self):
         for p in (0.01, 0.3, 0.5, 0.9, 0.99, 0.999):
-            assert chi2_cdf_1df(chi2_quantile_1df(p)) == pytest.approx(p, abs=1e-8)
+            cdf = special.gammainc(0.5, 0.5 * chi2_quantile_1df(p))
+            assert cdf == pytest.approx(p, abs=1e-8)
 
     def test_sf_df4_against_quadrature(self):
         def chi2_4_pdf(x):
@@ -88,7 +88,7 @@ class TestNormal:
 
     def test_round_trip(self):
         for p in (0.01, 0.25, 0.5, 0.8, 0.999):
-            assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-8)
+            assert special.ndtr(std_normal_quantile(p)) == pytest.approx(p, abs=1e-8)
 
     def test_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
@@ -203,10 +203,39 @@ def assert_sigma_is_percentile(a, b):
     return sigma
 
 
+def projected_reference(a, b, rtol=1e-9):
+    """Per-draw ES statistic on the covariance's numerical column space.
+
+    Eigenvalues below ``rtol`` times the largest are the rounding noise of
+    null directions.  scipy's per-draw covariance carries such noise, which
+    its ``pinv`` cut-off sometimes keeps: on two samples of 500 draws from
+    {0, 1, 2}, scipy's rank is 3 instead of 2 in 7 of 200 pairs.
+    """
+    n_a, n_b = len(a), len(b)
+    q75, q25 = np.percentile(np.concatenate([a, b]).astype(float), [75, 25])
+    ts = np.array([0.4, 0.8]) / (0.5 * (q75 - q25))
+
+    def features(x):
+        tx = np.outer(x, ts)
+        return np.hstack([np.cos(tx), np.sin(tx)])
+
+    g_a, g_b = features(a), features(b)
+    n = n_a + n_b
+    cov = (n / n_a) * np.cov(g_a.T, bias=True) + (n / n_b) * np.cov(g_b.T, bias=True)
+    lam, vec = np.linalg.eigh(cov)
+    keep = lam > rtol * lam.max()
+    z = vec[:, keep].T @ (g_a.mean(axis=0) - g_b.mean(axis=0))
+    w = n * float(np.sum(z ** 2 / lam[keep]))
+    df = int(keep.sum())
+    return w, df, float(chi2.sf(w, df))
+
+
 class TestEppsSingletonOracle:
     """scipy's per-draw ``epps_singleton_2samp`` is the reference for the
-    histogram computation.  Both samples hold at least 25 draws, where
-    scipy applies no small-sample correction either."""
+    histogram computation, and ``projected_reference`` where samples with
+    at most 4 distinct values make the covariance rank-deficient; the
+    chi-square df is then that rank.  Both samples hold at least 25 draws,
+    where scipy applies no small-sample correction either."""
 
     @pytest.mark.parametrize("case", sorted(_oracle_cases()))
     def test_matches_scipy(self, case):
@@ -246,3 +275,32 @@ class TestEppsSingletonOracle:
         ours = epps_singleton(a, b)
         assert ours.statistic == pytest.approx(ref.statistic, rel=1e-8)
         assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-8)
+
+    @pytest.mark.parametrize("values, rank", [
+        ([0, 1], 1), ([0, 1, 2], 2), ([0, 1, 2, 3], 3), ([2, 5, 6, 11], 3), ([0, 1, 2, 3, 4], 4),
+    ])
+    def test_matches_projected_reference(self, values, rank):
+        rng = np.random.default_rng(rank)
+        for _ in range(20):
+            a = rng.choice(values, rng.integers(25, 800))
+            b = rng.choice(values, rng.integers(25, 800))
+            ours = epps_singleton(a, b)
+            w, df, p = projected_reference(a, b)
+            assert ours.df == df == rank
+            assert ours.statistic == pytest.approx(w, rel=1e-8)
+            assert ours.p_value == pytest.approx(p, rel=1e-8)
+
+    def test_calibration_on_three_values(self):
+        # same uniform law on {0, 1, 2}: with df = 4 instead of 2 the
+        # level-0.05 rejection rate was 0 %
+        rng = np.random.default_rng(9)
+        rejections = sum(
+            epps_singleton(rng.integers(0, 3, 500), rng.integers(0, 3, 500)).p_value < 0.05
+            for _ in range(200)
+        )
+        assert 0.02 <= rejections / 200 <= 0.09
+
+    def test_constant_samples_at_different_values(self):
+        # sigma = 0.5, but both covariances vanish: rank 0 leaves no test
+        with pytest.raises(DegenerateSampleError, match="constant"):
+            epps_singleton(np.zeros(40), np.ones(40))
