@@ -23,17 +23,16 @@ from .errors import (
 from .estimators import (
     BETA_CI,
     BETA_PRIOR,
-    C_STAR,
     BinomialCounts,
     IdEstimate,
     IterationRecord,
+    _finish_bide,
     beta_posterior,
     bide_closed_form,
     bide_fixed_k,
     bide_fixed_radius,
     gride_mle_from_ratios,
     optimal_tau,
-    shared_pair_fisher,
     twonn_estimate,
 )
 from .geometry import NeighborGraph, counts_within_open_balls
@@ -53,11 +52,9 @@ METHODS = ("twonn", "bide-r", "bide-k", "abide", "agride", "babide")
 class EstimatorConfig:
     alpha: float = 0.01
     threshold_mode: str = "fixed"
-    d_thr_override: float | None = None
     k_max: int = 350
     max_iter: int = 5
     delta: float = 1e-4
-    c_star: float = C_STAR
     beta_ci: float = BETA_CI
     seed: int = 0
 
@@ -70,17 +67,11 @@ class EstimatorConfig:
             raise InvalidArgumentError(f"k_max must be >= {K_MIN}")
         if self.max_iter < 1 or self.delta <= 0:
             raise InvalidArgumentError("max_iter must be >= 1 and delta > 0")
-        if not 0.0 < self.c_star < 1.0 or not 0.0 < self.beta_ci < 1.0:
-            raise InvalidArgumentError("c_star and beta_ci must lie in (0, 1)")
-        if self.d_thr_override is not None and not 0.0 < self.d_thr_override < np.inf:
-            raise InvalidArgumentError(
-                f"d_thr_override must be finite and positive, got {self.d_thr_override}"
-            )
+        if not 0.0 < self.beta_ci < 1.0:
+            raise InvalidArgumentError(f"beta_ci must lie in (0, 1), got {self.beta_ci}")
 
     def rejection_threshold(self, n: int) -> float:
         """D_thr for a dataset of size n, honouring the Bonferroni mode."""
-        if self.d_thr_override is not None:
-            return float(self.d_thr_override)
         h = self.k_max - K_MIN + 1
         divisor = {"fixed": 1, "bonferroni_h": h, "bonferroni_n": n, "bonferroni_nh": n * h}[
             self.threshold_mode
@@ -213,7 +204,7 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     iterations = 0
     d_next = d_current
     for step in range(config.max_iter):
-        tau = optimal_tau(d_current, config.c_star)
+        tau = optimal_tau(d_current)
         k_star = _k_star_from_onsets(onsets, d_current, config.k_max)
         try:
             _, counts = _assemble_counts(graph, k_star, tau, config.k_max)
@@ -235,26 +226,14 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
             break
         d_current = d_next
 
-    d_star = d_next
     # final state recomputed with the terminal estimate
-    tau_star = optimal_tau(d_star, config.c_star)
-    k_star = _k_star_from_onsets(onsets, d_star, config.k_max)
+    k_star = _k_star_from_onsets(onsets, d_next, config.k_max)
     del onsets
-    state, counts = _assemble_counts(graph, k_star, tau_star, config.k_max)
-    info, ci = shared_pair_fisher(graph, counts, d_star, config.beta_ci)
-    p_final = validate_model(
-        counts.k_a, counts.k_b, d_star, tau_star, seed=_validation_seed(config, config.max_iter)
-    ).p_value
-    estimate = IdEstimate(
-        d=float(d_star),
-        tau=tau_star,
-        ci=ci,
-        mean_kb=float(counts.k_b.mean()),
-        validation_p=p_final,
-        fisher_info=info,
-        trace=trace,
-    )
-    return AbideResult(estimate=estimate, state=state, iterations_run=iterations, converged=converged)
+    state, counts = _assemble_counts(graph, k_star, optimal_tau(d_next), config.k_max)
+    estimate = _finish_bide(graph, counts, d_next, config.beta_ci,
+                            _validation_seed(config, config.max_iter), with_validation=True)
+    return AbideResult(estimate=replace(estimate, trace=trace), state=state,
+                       iterations_run=iterations, converged=converged)
 
 
 def abide(graph: NeighborGraph, config: EstimatorConfig | None = None) -> AbideResult:

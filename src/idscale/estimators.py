@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 from scipy.optimize import brentq
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     OptimizationFailureError,
 )
 from .geometry import NeighborGraph, counts_within_open_balls
-from .specfun import digamma, std_normal_quantile, trigamma
+from .specfun import std_normal_quantile
 from .validation import validate_model
 
 # optimal inner/outer radius ratio is c_star ** (1/d)
@@ -356,8 +357,9 @@ def beta_posterior(counts: BinomialCounts, alpha0: float = BETA_PRIOR, beta0: fl
     alpha_star = alpha0 + sum_a
     beta_star = beta0 + (sum_b - sum_a)
     log_tau = np.log(counts.tau)
-    mean = (digamma(alpha_star) - digamma(alpha_star + beta_star)) / log_tau
-    variance = (trigamma(alpha_star) - trigamma(alpha_star + beta_star)) / log_tau ** 2
+    mean = (special.psi(alpha_star) - special.psi(alpha_star + beta_star)) / log_tau
+    variance = (special.polygamma(1, alpha_star)
+                - special.polygamma(1, alpha_star + beta_star)) / log_tau ** 2
     return PosteriorSummary(
         mean=float(mean), variance=float(variance),
         alpha_star=float(alpha_star), beta_star=float(beta_star),

@@ -2,14 +2,16 @@
 
 Distances are either plain Euclidean or per-coordinate periodic
 (minimal-image convention, then Euclidean aggregation), which covers
-toroidal benchmarks and dihedral-angle data.  Periodic squared distances
-are accumulated coordinate by coordinate, in coordinate order, into one
-buffer per row block, so their rounding is fixed.  Graph construction is
-exact brute force, O(D n^2): each row block keeps its K smallest entries by
-partition and sorts only those, with ties between equidistant neighbours
-broken by the smaller point index so results are reproducible.  A row whose
-K-th distance is shared by an entry left outside the partition falls back
-to a full stable sort.
+toroidal benchmarks and dihedral-angle data.  Both are summed from
+coordinate differences, squared and added in coordinate order, so every
+distance is symmetric to the bit, the same under relabelling of the
+points, and free of the cancellation that makes translated or very close
+points lose their distances.  Graph construction is exact brute force,
+O(D n^2), over fixed blocks of rows: each block keeps its K smallest
+entries per row by partition and sorts only those, with ties between
+equidistant neighbours broken by the smaller point index so results are
+reproducible.  A row whose K-th distance is shared by an entry left
+outside the partition falls back to a full stable sort.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import (
     DegenerateDatasetError,
@@ -27,6 +30,10 @@ from .errors import (
 )
 
 logger = logging.getLogger(__name__)
+
+# rows per distance block; a full periodic block holds three n-wide
+# temporaries per row, so this bounds the graph build's peak memory
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -103,12 +110,7 @@ class NeighborGraph:
 def pairwise_distances(x: np.ndarray, y: np.ndarray, periods: np.ndarray | None) -> np.ndarray:
     """All-pairs distances between the rows of ``x`` and ``y``."""
     if periods is None:
-        xx = np.einsum("ij,ij->i", x, x)
-        yy = np.einsum("ij,ij->i", y, y)
-        # einsum (not BLAS matmul): per-pair products are reduced in a fixed
-        # coordinate order, so distances are bitwise stable under relabelling
-        d2 = xx[:, None] + yy[None, :] - 2.0 * np.einsum("ik,jk->ij", x, y)
-        np.maximum(d2, 0.0, out=d2)
+        d2 = cdist(x, y, "sqeuclidean")
     else:
         d2 = np.zeros((x.shape[0], y.shape[0]))
         delta = np.empty_like(d2)
@@ -144,7 +146,7 @@ def deduplicate(dataset: Dataset) -> tuple[Dataset, int]:
     return out, removed
 
 
-def build_neighbor_graph(dataset: Dataset, K: int, chunk_rows: int = 512) -> NeighborGraph:
+def build_neighbor_graph(dataset: Dataset, K: int) -> NeighborGraph:
     """Exact K nearest neighbours per point under the dataset metric.
 
     Duplicate points are removed first (they make every ratio-based
@@ -160,8 +162,8 @@ def build_neighbor_graph(dataset: Dataset, K: int, chunk_rows: int = 512) -> Nei
     pts = dataset.points
     dist = np.empty((n, K), dtype=np.float64)
     idx = np.empty((n, K), dtype=np.int64)
-    for start in range(0, n, chunk_rows):
-        stop = min(start + chunk_rows, n)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
         block = pairwise_distances(pts[start:stop], pts, dataset.periods)
         # self is never a neighbour (duplicates are already gone)
         rows = np.arange(stop - start)

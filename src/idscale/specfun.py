@@ -1,9 +1,9 @@
 """Special functions and the two-sample characteristic-function test.
 
-Quantiles and gamma-family functions are thin wrappers over scipy.special
-(with explicit domain checks so callers get the library's error kinds);
-the Epps-Singleton test is implemented here following the original 1986
-construction with the small-sample correction of Goerg & Kaiser.
+Quantiles are thin wrappers over scipy.special (with explicit domain
+checks so callers get the library's error kinds); the Epps-Singleton test
+is implemented here following the original 1986 construction with the
+small-sample correction of Goerg & Kaiser.
 
 The test works on value histograms: each sample is reduced to its distinct
 values and their counts, the pooled quartiles are read off the merged
@@ -53,22 +53,6 @@ def std_normal_quantile(prob: float) -> float:
     return float(special.ndtri(prob))
 
 
-def digamma(z):
-    z = np.asarray(z, dtype=np.float64)
-    if np.any(z <= 0):
-        raise InvalidArgumentError("digamma requires z > 0")
-    out = special.psi(z)
-    return float(out) if out.ndim == 0 else out
-
-
-def trigamma(z):
-    z = np.asarray(z, dtype=np.float64)
-    if np.any(z <= 0):
-        raise InvalidArgumentError("trigamma requires z > 0")
-    out = special.polygamma(1, z)
-    return float(out) if out.ndim == 0 else out
-
-
 def _histogram(sample) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values (ascending) of a sample and how often each occurs."""
     x = np.asarray(sample, dtype=np.float64).ravel()
@@ -113,12 +97,12 @@ def epps_singleton(sample_a, sample_b) -> EppsSingletonResult:
     the points ``(0.4, 0.8)`` scaled by the combined semi-interquartile
     range; valid for discrete data.  Each sample is reduced to its value
     histogram first, so the features, means and covariances cost one
-    evaluation per distinct value rather than per draw.  When
-    ``min(n_a, n_b) < 25`` the statistic is shrunk by the usual
-    small-sample correction factor.  The p-value comes from the
-    chi-square tail with as many degrees of freedom as the pseudo-inverted
-    covariance has rank (4 unless the samples take few distinct values),
-    as in ``scipy.stats.epps_singleton_2samp``.
+    evaluation per distinct value rather than per draw.  When both
+    samples hold fewer than 25 draws, the statistic is shrunk by the usual
+    small-sample correction factor.  The p-value comes from the chi-square
+    tail with as many degrees of freedom as the pseudo-inverted covariance
+    has rank (4 unless the samples take few distinct values).  Both rules
+    are those of ``scipy.stats.epps_singleton_2samp``.
     """
     va, ca = hist_a = _histogram(sample_a)
     vb, cb = hist_b = _histogram(sample_b)
@@ -149,6 +133,6 @@ def epps_singleton(sample_a, sample_b) -> EppsSingletonResult:
         raise DegenerateSampleError("both samples are constant; the covariance is zero")
     w = float(n * diff @ cov_inv @ diff)
     w = max(w, 0.0)
-    if min(n_a, n_b) < 25:
+    if max(n_a, n_b) < 25:
         w *= 1.0 / (1.0 + n ** -0.45 + 10.1 * (n_a ** -1.7 + n_b ** -1.7))
     return EppsSingletonResult(statistic=w, p_value=float(chi2_sf(w, df)), df=df)

@@ -26,7 +26,7 @@ from idscale.datagen import (
 from idscale.errors import InsufficientGraphDepthError, InvalidArgumentError
 from idscale.estimators import twonn_estimate
 from idscale.geometry import Dataset, NeighborGraph, build_neighbor_graph
-from idscale.specfun import chi2_quantile_1df
+from idscale.specfun import chi2_quantile_1df, chi2_sf
 
 # frozen by direct evaluation of -2*(log 2 + log 4 - 2 log 6 + log 4)
 LRT_UNIT_EXAMPLE = 0.2355660713127670
@@ -41,6 +41,11 @@ def torus_small():
 def small_config(**kw):
     kw.setdefault("k_max", 100)
     return EstimatorConfig(**kw)
+
+
+def alpha_for(d_thr):
+    """The alpha whose fixed-mode rejection threshold is ``d_thr``."""
+    return float(chi2_sf(d_thr, 1))
 
 
 class TestLrtStatistic:
@@ -82,7 +87,6 @@ class TestEstimatorConfig:
         assert cfg.k_max == 350
         assert cfg.max_iter == 5
         assert cfg.delta == 1e-4
-        assert cfg.c_star == 0.2032
         assert cfg.beta_ci == 0.05
         assert cfg.threshold_mode == "fixed"
 
@@ -106,10 +110,6 @@ class TestEstimatorConfig:
             k_max=100, threshold_mode="bonferroni_nh"
         ).rejection_threshold(n)
 
-    def test_override_wins(self):
-        cfg = EstimatorConfig(d_thr_override=12.5)
-        assert cfg.rejection_threshold(1000) == 12.5
-
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             EstimatorConfig(alpha=0.0)
@@ -117,9 +117,6 @@ class TestEstimatorConfig:
             EstimatorConfig(threshold_mode="nope")
         with pytest.raises(InvalidArgumentError):
             EstimatorConfig(k_max=1)
-        for bad in (float("nan"), float("inf"), 0.0, -3.0):
-            with pytest.raises(InvalidArgumentError):
-                EstimatorConfig(d_thr_override=bad)
 
 
 class TestSelectKStar:
@@ -148,8 +145,8 @@ class TestSelectKStar:
         assert np.all(loose <= strict)
 
     def test_raising_threshold_never_shrinks_k_star(self, torus_small):
-        low = select_k_star_all(torus_small, 2.0, small_config(d_thr_override=4.0))
-        high = select_k_star_all(torus_small, 2.0, small_config(d_thr_override=12.0))
+        low = select_k_star_all(torus_small, 2.0, small_config(alpha=alpha_for(4.0)))
+        high = select_k_star_all(torus_small, 2.0, small_config(alpha=alpha_for(12.0)))
         assert np.all(high >= low)
 
     def test_bounds_respected(self, torus_small):
@@ -178,8 +175,9 @@ def reference_k_star(graph, d, cfg):
 
 
 THRESHOLD_CASES = [
-    {"threshold_mode": mode} for mode in ("fixed", "bonferroni_h", "bonferroni_n", "bonferroni_nh")
-] + [{"d_thr_override": 2.5}]
+    pytest.param({"threshold_mode": mode}, id=mode)
+    for mode in ("fixed", "bonferroni_h", "bonferroni_n", "bonferroni_nh")
+] + [pytest.param({"alpha": alpha_for(2.5)}, id="2.5")]
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +202,7 @@ class TestRejectionOnsets:
     @pytest.mark.parametrize(
         "graph_name", ["euclidean", "zero_radii", "periodic", "lattice", "periodic_lattice"]
     )
-    @pytest.mark.parametrize("thr", THRESHOLD_CASES, ids=lambda c: "-".join(map(str, c.values())))
+    @pytest.mark.parametrize("thr", THRESHOLD_CASES)
     def test_matches_lrt_reference(self, onset_graphs, graph_name, thr):
         graph = onset_graphs[graph_name]
         cfg = EstimatorConfig(k_max=80, **thr)
@@ -221,7 +219,7 @@ class TestRejectionOnsets:
         # every point of a periodic lattice sees the same sorted distances,
         # so every gap is exactly zero and no threshold or d can reject
         graph = onset_graphs["periodic_lattice"]
-        cfg = EstimatorConfig(k_max=80, d_thr_override=1e-6)
+        cfg = EstimatorConfig(k_max=80, alpha=alpha_for(1e-6))
         for d in (0.1, 2.0, 1e3):
             assert np.all(select_k_star_all(graph, d, cfg) == cfg.k_max)
 

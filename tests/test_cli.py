@@ -115,13 +115,25 @@ class TestEstimateCommand:
         err = json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
         assert err["error"] == "degenerate-scale"
 
-    def test_near_duplicates_exit_code(self, runner, tmp_path):
+    @staticmethod
+    def _near_duplicates_csv(tmp_path, offset, spread):
+        # 300 Gaussian points in 10-D, the first three within about ``spread`` of ``offset``
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(300, 10))
-        pts[:3] = 100 + 1e-7 * rng.normal(size=(3, 10))
+        pts[:3] = offset + spread * rng.normal(size=(3, 10))
         path = str(tmp_path / "near.csv")
         save_dataset_csv(Dataset(pts), path)
-        result = invoke(runner, ["estimate", "--method", "abide", "--kmax", "60", "--input", path])
+        return ["estimate", "--method", "abide", "--kmax", "60", "--input", path]
+
+    def test_near_duplicates_estimate(self, runner, tmp_path):
+        # 1e-7 apart at offset 100: distances from coordinate differences stay positive
+        result = invoke(runner, self._near_duplicates_csv(tmp_path, 100.0, 1e-7))
+        assert result.exit_code == 0, result.output
+        assert 0 < json.loads(result.stdout)["estimate"]["d"] < np.inf
+
+    def test_near_duplicates_exit_code(self, runner, tmp_path):
+        # 1e-170 apart: the squared differences underflow to zero distances
+        result = invoke(runner, self._near_duplicates_csv(tmp_path, 0.0, 1e-170))
         assert result.exit_code == 3
         err = json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
         assert err["error"] == "degenerate-dataset"

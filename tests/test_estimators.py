@@ -80,16 +80,26 @@ class TestTwoNN:
             twonn_estimate(g)
 
     @staticmethod
-    def near_duplicate_graph():
-        # distinct points 1e-7 apart at offset 100: the expanded-form
-        # distance rounds r1 = r2 = 0 for three points, which gave d = nan
+    def near_duplicate_graph(offset, spread):
+        # 300 Gaussian points in 10-D, the first three moved to within
+        # about ``spread`` of ``offset``
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(300, 10))
-        pts[:3] = 100 + 1e-7 * rng.normal(size=(3, 10))
+        pts[:3] = offset + spread * rng.normal(size=(3, 10))
         return build_neighbor_graph(Dataset(pts), K=61)
 
+    def test_near_duplicates_get_finite_estimates(self):
+        # distinct points 1e-7 apart at offset 100: the expanded-form
+        # distance |x|^2 + |y|^2 - 2 x.y rounded r1 = r2 = 0 for all three
+        g = self.near_duplicate_graph(100.0, 1e-7)
+        assert np.all(g.distances > 0)
+        assert 0 < twonn_estimate(g).d < np.inf
+        assert 0 < abide(g, EstimatorConfig(k_max=60)).estimate.d < np.inf
+
     def test_near_duplicates_are_degenerate(self):
-        g = self.near_duplicate_graph()
+        # distinct points 1e-170 apart: their squared differences underflow
+        # to 0, so three points have r1 = r2 = 0
+        g = self.near_duplicate_graph(0.0, 1e-170)
         assert np.count_nonzero(g.distances == 0) == 6
         with pytest.raises(DegenerateDatasetError, match="^3 points"):
             twonn_estimate(g)
@@ -101,7 +111,7 @@ class TestTwoNN:
 
     def test_depth_error_precedes_degenerate(self):
         with pytest.raises(InsufficientGraphDepthError):
-            abide(self.near_duplicate_graph(), EstimatorConfig(k_max=61))
+            abide(self.near_duplicate_graph(0.0, 1e-170), EstimatorConfig(k_max=61))
 
 
 class TestBideClosedForm:
@@ -239,6 +249,8 @@ class TestBetaPosterior:
         assert summary.alpha_star == 2.0 and summary.beta_star == 1.0
         assert summary.mean == pytest.approx(1.0 / (2 * np.log(2)), abs=1e-10)
         assert summary.mean == pytest.approx(0.72135, abs=1e-5)
+        # trigamma(2) - trigamma(3) = 1/4
+        assert summary.variance == pytest.approx(0.25 / np.log(2) ** 2, rel=1e-12)
 
     def test_variance_positive(self):
         rng = np.random.default_rng(10)

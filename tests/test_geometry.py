@@ -1,13 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from idscale import geometry
 from idscale.errors import (
     DegenerateDatasetError,
     InsufficientGraphDepthError,
     InvalidArgumentError,
 )
+from idscale.estimators import twonn_estimate
 from idscale.geometry import (
     Dataset,
     build_neighbor_graph,
@@ -36,6 +40,12 @@ def stable_sort_oracle(graph, K):
     np.fill_diagonal(full, np.inf)
     order = np.argsort(full, axis=1, kind="stable")[:, :K]
     return order, np.take_along_axis(full, order, axis=1)
+
+
+def build_in_blocks(ds, K, rows):
+    """``build_neighbor_graph`` with distance blocks of ``rows`` rows."""
+    with mock.patch.object(geometry, "_BLOCK_ROWS", rows):
+        return build_neighbor_graph(ds, K=K)
 
 
 def integer_lattice(side, dim, periodic):
@@ -115,8 +125,8 @@ class TestBuildNeighborGraph:
     def test_chunk_size_does_not_change_output(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(200, 3))
-        g1 = build_neighbor_graph(Dataset(pts), K=20, chunk_rows=7)
-        g2 = build_neighbor_graph(Dataset(pts), K=20, chunk_rows=200)
+        g1 = build_in_blocks(Dataset(pts), 20, 7)
+        g2 = build_in_blocks(Dataset(pts), 20, 200)
         assert np.array_equal(g1.distances, g2.distances)
         assert np.array_equal(g1.indices, g2.indices)
 
@@ -127,6 +137,17 @@ class TestBuildNeighborGraph:
         g2 = build_neighbor_graph(Dataset(4.0 * pts), K=10)
         assert np.array_equal(g1.indices, g2.indices)
         assert np.allclose(g2.distances, 4.0 * g1.distances, rtol=1e-12)
+
+    def test_translation_invariance(self):
+        # a 0.01-scale cloud moved to 1e4: distances summed from coordinate
+        # differences move by ~3e-10 relative there, the expanded form
+        # |x|^2 + |y|^2 - 2 x.y moved them by ~1e-2 and reordered neighbours
+        rng = np.random.default_rng(12)
+        pts = 0.01 * rng.normal(size=(500, 6))
+        g1 = build_neighbor_graph(Dataset(pts), K=10)
+        g2 = build_neighbor_graph(Dataset(pts + 1e4), K=10)
+        assert np.array_equal(g1.indices, g2.indices)
+        assert twonn_estimate(g2).d == pytest.approx(twonn_estimate(g1).d, rel=1e-10)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -145,10 +166,10 @@ class TestNeighborSelection:
 
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("K", [1, 4, 40, 143])
-    @pytest.mark.parametrize("chunk_rows", [7, 512])
-    def test_lattice_matches_stable_sort(self, periodic, K, chunk_rows):
+    @pytest.mark.parametrize("block_rows", [7, 512])
+    def test_lattice_matches_stable_sort(self, periodic, K, block_rows):
         # every row of a 12 x 12 lattice has many exactly tied distances
-        g = build_neighbor_graph(integer_lattice(12, 2, periodic), K=K, chunk_rows=chunk_rows)
+        g = build_in_blocks(integer_lattice(12, 2, periodic), K, block_rows)
         order, dist = stable_sort_oracle(g, K)
         assert np.array_equal(g.indices, order)
         assert np.array_equal(g.distances, dist)
@@ -168,8 +189,8 @@ class TestNeighborSelection:
         n = len(np.unique(ds.points, axis=0))
         assume(n >= 2)
         K = data.draw(st.integers(1, n - 1), label="K")
-        chunk_rows = data.draw(st.integers(1, n), label="chunk_rows")
-        g = build_neighbor_graph(ds, K=K, chunk_rows=chunk_rows)
+        block_rows = data.draw(st.integers(1, n), label="block_rows")
+        g = build_in_blocks(ds, K, block_rows)
         order, _ = stable_sort_oracle(g, K)
         assert np.array_equal(g.indices, order)
         assert np.all(np.diff(g.distances, axis=1) >= 0)
@@ -180,7 +201,7 @@ class TestNeighborSelection:
         for ds in (integer_lattice(6, 2, periodic),
                    Dataset(rng.uniform(size=(50, 3)), np.ones(3) if periodic else None)):
             n = ds.n
-            g = build_neighbor_graph(ds, K=n - 1, chunk_rows=16)
+            g = build_in_blocks(ds, n - 1, 16)
             assert np.all(np.isfinite(g.distances))
             expected = np.array([np.delete(np.arange(n), i) for i in range(n)])
             assert np.array_equal(np.sort(g.indices, axis=1), expected)
@@ -203,8 +224,8 @@ class TestPeriodicDistances:
     def test_chunk_size_does_not_change_output(self):
         rng = np.random.default_rng(10)
         ds = Dataset(rng.uniform(size=(200, 3)), np.ones(3))
-        g1 = build_neighbor_graph(ds, K=20, chunk_rows=7)
-        g2 = build_neighbor_graph(ds, K=20, chunk_rows=200)
+        g1 = build_in_blocks(ds, 20, 7)
+        g2 = build_in_blocks(ds, 20, 200)
         assert np.array_equal(g1.distances, g2.distances)
         assert np.array_equal(g1.indices, g2.indices)
 
@@ -226,7 +247,7 @@ class TestMetricProperties:
         rng = np.random.default_rng(5)
         pts = rng.uniform(size=(30, 3))
         d = pairwise_distances(pts, pts, periods)
-        assert np.allclose(d, d.T, atol=1e-12)
+        assert np.array_equal(d, d.T)
         for _ in range(200):
             i, j, k = rng.integers(30, size=3)
             assert d[i, k] <= d[i, j] + d[j, k] + 1e-12

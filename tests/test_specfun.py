@@ -12,15 +12,10 @@ from idscale.errors import DegenerateSampleError, InvalidArgumentError
 from idscale.specfun import (
     chi2_quantile_1df,
     chi2_sf,
-    digamma,
     epps_singleton,
     std_normal_quantile,
-    trigamma,
 )
 from idscale.specfun import _histogram, _pooled_semi_iqr
-
-EULER_GAMMA = 0.5772156649015329
-
 
 def quadrature_quantile(pdf, prob, lo, hi, tol=1e-12):
     """Independent quantile oracle: bisection on a quadrature CDF."""
@@ -93,25 +88,6 @@ class TestNormal:
     def test_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
             std_normal_quantile(1.0)
-
-
-class TestGammaDerivatives:
-    def test_classical_values(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-10)
-        assert trigamma(1.0) == pytest.approx(np.pi ** 2 / 6, abs=1e-10)
-
-    def test_recurrence(self):
-        rng = np.random.default_rng(0)
-        z = rng.uniform(1e-3, 1e4, size=100)
-        assert np.allclose(digamma(z + 1) - digamma(z), 1.0 / z, rtol=1e-9, atol=1e-12)
-        assert np.allclose(trigamma(z) - trigamma(z + 1), 1.0 / z ** 2, rtol=1e-9, atol=1e-12)
-
-    def test_domain(self):
-        for z in (0.0, -1.0):
-            with pytest.raises(InvalidArgumentError):
-                digamma(z)
-            with pytest.raises(InvalidArgumentError):
-                trigamma(z)
 
 
 class TestEppsSingleton:
@@ -193,6 +169,9 @@ def _oracle_cases():
         "binomial-small": (rng.binomial(30, 0.4, size=25), rng.binomial(30, 0.4, size=31)),
         "continuous": (rng.normal(size=500), rng.standard_t(5, size=650)),
         "shifted": (x[:450], x[450:] + 0.4),
+        # the small-sample correction applies only when both samples are small
+        "poisson-20-2000": (rng.poisson(3, size=20), rng.poisson(3, size=2000)),
+        "poisson-20-20": (rng.poisson(3, size=20), rng.poisson(3, size=20)),
     }
 
 
@@ -234,8 +213,8 @@ class TestEppsSingletonOracle:
     """scipy's per-draw ``epps_singleton_2samp`` is the reference for the
     histogram computation, and ``projected_reference`` where samples with
     at most 4 distinct values make the covariance rank-deficient; the
-    chi-square df is then that rank.  Both samples hold at least 25 draws,
-    where scipy applies no small-sample correction either."""
+    chi-square df is then that rank.  The small-sample correction applies,
+    as in scipy, only when both samples hold fewer than 25 draws."""
 
     @pytest.mark.parametrize("case", sorted(_oracle_cases()))
     def test_matches_scipy(self, case):
