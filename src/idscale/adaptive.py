@@ -36,7 +36,7 @@ from .estimators import (
     twonn_estimate,
 )
 from .geometry import NeighborGraph, counts_within_open_balls
-from .specfun import chi2_quantile_1df
+from .specfun import chi2_isf_1df
 from .validation import validate_model
 
 _LOG4 = float(np.log(4.0))
@@ -76,7 +76,7 @@ class EstimatorConfig:
         divisor = {"fixed": 1, "bonferroni_h": h, "bonferroni_n": n, "bonferroni_nh": n * h}[
             self.threshold_mode
         ]
-        return chi2_quantile_1df(1.0 - self.alpha / divisor)
+        return chi2_isf_1df(self.alpha / divisor)
 
 
 @dataclass

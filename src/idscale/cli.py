@@ -3,14 +3,15 @@ benchmarks and dataset generation, all emitting machine-readable JSON."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 import urllib.request
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import click
 import numpy as np
@@ -87,7 +88,7 @@ def load_dataset(path: str, periodic: list[float] | None = None) -> Dataset:
                 values = [float(c) for c in cells]
             except ValueError as err:
                 raise ParseError(f"non-numeric cell: {err}", line=lineno) from err
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise ParseError("non-finite value", line=lineno)
             rows.append(values)
     if not rows:
@@ -127,21 +128,6 @@ def dataset_fingerprint(dataset: Dataset) -> dict:
 # report plumbing
 
 
-def _estimate_dict(est: estimators.IdEstimate) -> dict:
-    return {
-        "d": est.d,
-        "tau": est.tau,
-        "ci": list(est.ci) if est.ci is not None else None,
-        "mean_kb": est.mean_kb,
-        "validation_p": est.validation_p,
-        "fisher_info": est.fisher_info,
-        "trace": [
-            {"d": r.d, "mean_k_star": r.mean_k_star, "validation_p": r.validation_p}
-            for r in est.trace
-        ],
-    }
-
-
 def _k_star_summary(state: adaptive_mod.AdaptiveState) -> dict:
     ks = state.k_star
     hist_vals, hist_edges = np.histogram(ks, bins=min(30, max(2, int(ks.max() - ks.min() + 1))))
@@ -168,15 +154,13 @@ def _emit(payload: dict, output: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _fail(err: Exception) -> None:
-    kind = getattr(err, "kind", "error")
-    code = getattr(err, "exit_code", 1)
-    payload = {"error": kind, "message": str(err)}
-    line = getattr(err, "line", None)
-    if line is not None:
-        payload["line"] = line
+def _fail(err: IdscaleError) -> None:
+    """Print the error JSON on stderr and exit with the error's code."""
+    payload = {"error": err.kind, "message": str(err)}
+    if getattr(err, "line", None) is not None:
+        payload["line"] = err.line
     click.echo(json.dumps(payload), err=True)
-    sys.exit(code)
+    sys.exit(err.exit_code)
 
 
 def _threads_from(option_value: int | None) -> int:
@@ -221,14 +205,29 @@ _PERIODIC_HELP = "comma-separated periods, one per column (or one value for all)
 def _parse_periodic(text):
     if text is None:
         return None
-    return [float(x) for x in text.split(",")]
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise InvalidArgumentError(
+            f"--periodic needs comma-separated numbers, got {text!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends any command's ``IdscaleError`` in its JSON error and exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except IdscaleError as err:
+            _fail(err)
+
+
+@click.group(cls=_Group)
 def main():
     """Scale-adaptive intrinsic dimension estimation."""
 
@@ -257,19 +256,15 @@ def _estimator_options(*skip):
 @_estimator_options()
 def estimate(method, input_path, periodic, output, **opts):
     """Run one estimator on a CSV dataset and emit a JSON report."""
-    try:
-        dataset = load_dataset(input_path, _parse_periodic(periodic))
-        graph, res, timing = _build_and_run((method,), dataset, opts)
-    except IdscaleError as err:
-        _fail(err)
-        return
+    dataset = load_dataset(input_path, _parse_periodic(periodic))
+    graph, res, timing = _build_and_run((method,), dataset, opts)
     config = {key: opts[key] for key in _OPTIONS if key not in ("depth", "seed")}
     report = {
         "schema_version": SCHEMA_VERSION,
         "method": method,
         "dataset": dataset_fingerprint(graph.dataset),
         "config": {**config, "periodic": periodic, "seed": opts["seed"]},
-        "estimate": _estimate_dict(res.estimate),
+        "estimate": dataclasses.asdict(res.estimate),
         "timing": timing,
     }
     if res.state is not None:
@@ -294,16 +289,12 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
          output, **opts):
     """Sweep fixed-radius or fixed-k estimates across a grid, with the
     adaptive estimate as the starred reference."""
-    try:
-        dataset = load_dataset(input_path, _parse_periodic(periodic))
-        # one graph for the abide reference and a bide-r depth of grid radii
-        graph, ref, timing = _build_and_run(("abide", "bide-r"), dataset,
-                                            {**_DEFAULT_CFG, **opts})
-        tau = opts["tau"] if opts["tau"] is not None else estimators.optimal_tau(ref.estimate.d)
-    except IdscaleError as err:
-        _fail(err)
-        return
-
+    if grid_size < 1:
+        raise InvalidArgumentError(f"--grid-size must be >= 1, got {grid_size}")
+    dataset = load_dataset(input_path, _parse_periodic(periodic))
+    # one graph for the abide reference and a bide-r depth of grid radii
+    graph, ref, timing = _build_and_run(("abide", "bide-r"), dataset, {**_DEFAULT_CFG, **opts})
+    tau = opts["tau"] if opts["tau"] is not None else estimators.optimal_tau(ref.estimate.d)
     if mode == "radius":
         lo = tb_min if tb_min is not None else float(np.median(graph.distances[:, 0]))
         hi = tb_max if tb_max is not None else float(graph.distances[:, -1].min())
@@ -338,27 +329,23 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
     }, output)
 
 
-def _generator_spec(generator, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed):
-    return datagen.GeneratorSpec(
-        kind=generator, n=n, d=d, ambient_dim=ambient_dim,
-        sigma_s=sigma_s, sigma_eps=sigma_eps, ratio=ratio, seed=seed,
-    )
+# GeneratorSpec's field defaults; MISSING for the required kind and n
+_SPEC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(datagen.GeneratorSpec)}
 
 
 def _generator_options(fn):
-    opts = [
-        click.option("--generator", type=click.Choice(list(datagen.GENERATOR_KINDS)),
-                     required=True),
-        click.option("--n", type=int, required=True),
-        click.option("--d", type=int, default=0),
-        click.option("--ambient-dim", type=int, default=0),
-        click.option("--sigma-s", type=float, default=1.0, show_default=True),
-        click.option("--sigma-eps", type=float, default=0.0, show_default=True),
-        click.option("--ratio", type=float, default=1.0, show_default=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+    """Decorator adding ``--generator`` (the spec's kind), ``--n`` and an
+    option per other ``GeneratorSpec`` field but the seed, with the field's
+    default (shown in --help for the float fields)."""
+    for name, default in reversed(_SPEC_DEFAULTS.items()):
+        if default is not dataclasses.MISSING and name != "seed":
+            fn = click.option(
+                "--" + name.replace("_", "-"), type=type(default), default=default,
+                show_default=isinstance(default, float),
+            )(fn)
+    fn = click.option("--n", type=int, required=True)(fn)
+    return click.option("--generator", "kind", type=click.Choice(list(datagen.GENERATOR_KINDS)),
+                        required=True)(fn)
 
 
 def _benchmark_replica(payload: dict) -> dict:
@@ -388,6 +375,8 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
                   estimator_cfg: dict | None = None) -> dict:
     """Seeded Monte Carlo replicas of one generator/method pair."""
     cfg = {**_DEFAULT_CFG, **(estimator_cfg or {})}
+    if replicas < 1:
+        raise InvalidArgumentError(f"--replicas must be >= 1, got {replicas}")
     if normality:
         if d_true is None:
             raise InvalidArgumentError("--normality requires --d-true")
@@ -397,7 +386,7 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
             )
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(spec.seed).spawn(replicas)]
     payloads = [
-        {"spec": replace(spec, seed=s), "method": method, "config": cfg, "replica": r}
+        {"spec": dataclasses.replace(spec, seed=s), "method": method, "config": cfg, "replica": r}
         for r, s in enumerate(seeds)
     ]
     if threads > 1 and replicas > 1:
@@ -440,40 +429,29 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
 @click.option("--d-true", type=float, default=None)
 @click.option("--output", type=str, default=None)
 @_estimator_options()
-def benchmark(generator, n, d, ambient_dim, sigma_s, sigma_eps, ratio, method,
+def benchmark(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, method,
               replicas, threads, normality, d_true, output, seed, **opts):
     """Monte Carlo benchmark with deterministic per-replica seed streams."""
-    try:
-        spec = _generator_spec(generator, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed)
-        summary = run_benchmark(
-            spec, method, replicas, threads=_threads_from(threads),
-            normality=normality, d_true=d_true, estimator_cfg=opts,
-        )
-    except IdscaleError as err:
-        _fail(err)
-        return
-    _emit(summary, output)
+    spec = datagen.GeneratorSpec(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed)
+    _emit(run_benchmark(
+        spec, method, replicas, threads=_threads_from(threads),
+        normality=normality, d_true=d_true, estimator_cfg=opts,
+    ), output)
 
 
 @main.command()
 @_generator_options
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=_SPEC_DEFAULTS["seed"], show_default=True)
 @click.option("--output", type=str, required=True)
-def generate(generator, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed, output):
+def generate(output, **fields):
     """Materialize a generator spec to CSV plus a JSON sidecar."""
-    try:
-        spec = _generator_spec(generator, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed)
-        dataset = datagen.generate(spec)
-    except IdscaleError as err:
-        _fail(err)
-        return
+    spec = datagen.GeneratorSpec(**fields)
+    dataset = datagen.generate(spec)
     save_dataset_csv(dataset, output)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "generator": spec.kind,
-        "n": spec.n, "d": spec.d, "ambient_dim": spec.ambient_dim,
-        "sigma_s": spec.sigma_s, "sigma_eps": spec.sigma_eps, "ratio": spec.ratio,
-        "seed": spec.seed,
+        **{key: value for key, value in dataclasses.asdict(spec).items() if key != "kind"},
         "periodic": dataset.periods.tolist() if dataset.periods is not None else None,
     }
     with open(output + ".json", "w", encoding="utf-8") as fh:

@@ -103,13 +103,13 @@ def moebius_embed(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.column_stack([w * np.cos(u), w * np.sin(u), 0.5 * v * np.sin(0.5 * u)])
 
 
-def sample_moebius_base(n: int, rng: np.random.Generator, blobs: dict | None = None):
+def sample_moebius_base(n: int, rng: np.random.Generator):
     """Draw (u, v, component) from the inhomogeneous base distribution.
 
     Component 0 is the uniform background; components 1..8 are the blobs.
     Blob draws are wrapped in u and redrawn until v lands in [-1, 1].
     """
-    cfg = blobs or MOEBIUS_BLOBS
+    cfg = MOEBIUS_BLOBS
     weights = np.array([cfg["background_weight"], *cfg["weights"]], dtype=np.float64)
     weights = weights / weights.sum()
     comp = rng.choice(len(weights), size=n, p=weights)
@@ -133,15 +133,14 @@ def sample_moebius_base(n: int, rng: np.random.Generator, blobs: dict | None = N
 
 
 def gen_moebius(
-    n: int = 20000, sigma_eps: float = 1e-3, ambient_dim: int = 20,
-    seed: int = 0, blobs: dict | None = None,
+    n: int = 20000, sigma_eps: float = 1e-3, ambient_dim: int = 20, seed: int = 0,
 ) -> Dataset:
     """Inhomogeneous 2-d sample wrapped on a half-twist strip, zero-padded
     to ``ambient_dim`` coordinates, with iid Gaussian noise on all of them."""
     if ambient_dim < 3:
         raise InvalidArgumentError("ambient dimension must be >= 3")
     rng, noise_rng = _streams(seed)
-    u, v, _ = sample_moebius_base(n, rng, blobs)
+    u, v, _ = sample_moebius_base(n, rng)
     pts = np.zeros((n, ambient_dim))
     pts[:, :3] = moebius_embed(u, v)
     pts += noise_rng.normal(0.0, 1.0, size=(n, ambient_dim)) * sigma_eps

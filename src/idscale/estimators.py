@@ -26,7 +26,7 @@ from .geometry import NeighborGraph, counts_within_open_balls
 from .specfun import std_normal_quantile
 from .validation import validate_model
 
-# optimal inner/outer radius ratio is c_star ** (1/d)
+# optimal inner/outer radius ratio is C_STAR ** (1/d)
 C_STAR = 0.2032
 
 # reported confidence intervals have level 1 - BETA_CI
@@ -95,9 +95,9 @@ class PosteriorSummary:
     beta_star: float
 
 
-def optimal_tau(d: float, c_star: float = C_STAR) -> float:
+def optimal_tau(d: float) -> float:
     """Variance-minimizing radius ratio for the binomial estimator."""
-    return c_star ** (1.0 / d)
+    return C_STAR ** (1.0 / d)
 
 
 def bide_closed_form(counts: BinomialCounts) -> float:
@@ -214,7 +214,7 @@ def shared_pair_fisher(graph: NeighborGraph, counts: BinomialCounts, d: float, b
     return info, _normal_interval(d, counts.k_b.size * info, beta)
 
 
-def twonn_equivalent_tau(graph: NeighborGraph, d_hat: float, c_star: float = C_STAR) -> tuple[float, BinomialCounts] | None:
+def twonn_equivalent_tau(graph: NeighborGraph, d_hat: float) -> tuple[float, BinomialCounts] | None:
     """The radius ratio at which the binomial closed form reproduces the
     two-NN estimate, together with the order-2 counts it was derived from.
 
@@ -225,7 +225,7 @@ def twonn_equivalent_tau(graph: NeighborGraph, d_hat: float, c_star: float = C_S
     """
     r1 = graph.distances[:, 0]
     r2 = graph.distances[:, 1]
-    tau0 = optimal_tau(d_hat, c_star)
+    tau0 = optimal_tau(d_hat)
     k_a = (r1 < tau0 * r2).astype(np.int64)
     k_b = np.ones(graph.n_points, dtype=np.int64)
     if k_a.sum() == 0:

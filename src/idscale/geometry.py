@@ -63,7 +63,9 @@ class Dataset:
                 raise InvalidArgumentError("periods must have one entry per coordinate")
             if not np.all(per > 0) or not np.all(np.isfinite(per)):
                 raise InvalidArgumentError("periods must be strictly positive and finite")
+            # np.mod rounds tiny negative values up to the period itself
             pts = np.mod(pts, per)
+            pts[pts == per] = 0.0
             object.__setattr__(self, "periods", per)
         object.__setattr__(self, "points", pts)
 

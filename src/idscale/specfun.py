@@ -34,11 +34,12 @@ class EppsSingletonResult:
     df: int
 
 
-def chi2_quantile_1df(prob: float) -> float:
-    """Quantile of the chi-square distribution with one degree of freedom."""
-    if not 0.0 < prob < 1.0:
-        raise InvalidArgumentError(f"prob must lie in (0, 1), got {prob}")
-    return float(2.0 * special.gammaincinv(0.5, prob))
+def chi2_isf_1df(tail: float) -> float:
+    """The x with P(X > x) = ``tail`` for X chi-square with one degree of
+    freedom, computed from the upper tail so small tails keep their digits."""
+    if not 0.0 < tail < 1.0:
+        raise InvalidArgumentError(f"tail must lie in (0, 1), got {tail}")
+    return float(2.0 * special.gammainccinv(0.5, tail))
 
 
 def chi2_sf(x, df: int):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from idscale.adaptive import (
     K_MIN,
@@ -26,7 +27,7 @@ from idscale.datagen import (
 from idscale.errors import InsufficientGraphDepthError, InvalidArgumentError
 from idscale.estimators import twonn_estimate
 from idscale.geometry import Dataset, NeighborGraph, build_neighbor_graph
-from idscale.specfun import chi2_quantile_1df, chi2_sf
+from idscale.specfun import chi2_isf_1df, chi2_sf
 
 # frozen by direct evaluation of -2*(log 2 + log 4 - 2 log 6 + log 4)
 LRT_UNIT_EXAMPLE = 0.2355660713127670
@@ -98,17 +99,23 @@ class TestEstimatorConfig:
         cfg = EstimatorConfig(k_max=100)
         h = 100 - K_MIN + 1
         assert EstimatorConfig(k_max=100, threshold_mode="bonferroni_h").rejection_threshold(n) == pytest.approx(
-            chi2_quantile_1df(1 - 0.01 / h), rel=1e-12
+            chi2_isf_1df(0.01 / h), rel=1e-12
         )
         assert EstimatorConfig(k_max=100, threshold_mode="bonferroni_n").rejection_threshold(n) == pytest.approx(
-            chi2_quantile_1df(1 - 0.01 / n), rel=1e-12
+            chi2_isf_1df(0.01 / n), rel=1e-12
         )
         assert EstimatorConfig(k_max=100, threshold_mode="bonferroni_nh").rejection_threshold(n) == pytest.approx(
-            chi2_quantile_1df(1 - 0.01 / (n * h)), rel=1e-12
+            chi2_isf_1df(0.01 / (n * h)), rel=1e-12
         )
         assert cfg.rejection_threshold(n) < EstimatorConfig(
             k_max=100, threshold_mode="bonferroni_nh"
         ).rejection_threshold(n)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-6])
+    def test_tiny_tail_matches_scipy_isf(self, alpha):
+        n, h = 100_000, EstimatorConfig().k_max - K_MIN + 1
+        cfg = EstimatorConfig(alpha=alpha, threshold_mode="bonferroni_nh")
+        assert cfg.rejection_threshold(n) == pytest.approx(chi2.isf(alpha / (n * h), 1), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

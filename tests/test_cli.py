@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import hashlib
 import inspect
@@ -22,6 +23,10 @@ def runner():
 
 def invoke(runner, args, **kw):
     return runner.invoke(main, args, catch_exceptions=False, **kw)
+
+
+def error_json(result):
+    return json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
 
 
 def write(tmp_path, name, text):
@@ -163,6 +168,14 @@ class TestEstimateCommand:
         result = invoke(runner, ["estimate", "--method", "twonn", "--input", path])
         assert result.exit_code == 9
 
+    def test_bad_periodic_exit_code(self, runner, tmp_path):
+        path, _ = self._torus_csv(tmp_path)
+        result = invoke(runner, [
+            "estimate", "--method", "twonn", "--input", path, "--periodic", "abc",
+        ])
+        assert result.exit_code == 2
+        assert error_json(result)["error"] == "invalid-argument"
+
     def test_missing_required_option(self, runner, tmp_path):
         path, _ = self._torus_csv(tmp_path)
         result = invoke(runner, ["estimate", "--method", "bide-k", "--input", path])
@@ -231,6 +244,17 @@ class TestScanCommand:
             assert wide["d"] == narrow["d"]
             assert wide["ci"][0] < narrow["ci"][0] < narrow["ci"][1] < wide["ci"][1]
 
+    @pytest.mark.parametrize("grid_size", ["-1", "0"])
+    def test_bad_grid_size_checked_before_graph(self, runner, tmp_path, monkeypatch, grid_size):
+        def no_graph(*args):
+            raise AssertionError("the graph was built before the --grid-size check")
+
+        monkeypatch.setattr(cli, "build_neighbor_graph", no_graph)
+        path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n")
+        result = invoke(runner, ["scan", "--mode", "k", "--input", path, "--grid-size", grid_size])
+        assert result.exit_code == 2
+        assert error_json(result)["error"] == "invalid-argument"
+
     @pytest.mark.parametrize("option", ["--tb", "--k", "--alpha0", "--beta0"])
     def test_unused_options_are_rejected(self, runner, tmp_path, option):
         path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n")
@@ -269,6 +293,22 @@ class TestBenchmarkCommand:
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
         with pytest.raises(InvalidArgumentError):
             run_benchmark(spec, method, replicas=2, threads=1, normality=True, d_true=d_true)
+
+    @pytest.mark.parametrize("replicas", [0, -3])
+    def test_bad_replica_count_checked_before_replicas(self, runner, monkeypatch, replicas):
+        def no_replica(payload):
+            raise AssertionError("a replica ran before the --replicas check")
+
+        monkeypatch.setattr(cli, "_benchmark_replica", no_replica)
+        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
+        with pytest.raises(InvalidArgumentError):
+            run_benchmark(spec, "twonn", replicas=replicas, threads=1)
+        result = invoke(runner, [
+            "benchmark", "--generator", "uniform_hypercube_periodic", "--n", "200",
+            "--d", "2", "--method", "twonn", "--replicas", str(replicas), "--threads", "1",
+        ])
+        assert result.exit_code == 2
+        assert error_json(result)["error"] == "invalid-argument"
 
     def test_normality_without_fisher_info_exit_code(self, runner):
         result = invoke(runner, [
@@ -391,6 +431,28 @@ class TestGenerateCommand:
         h1 = hashlib.sha256(open(out1, "rb").read()).hexdigest()
         h2 = hashlib.sha256(open(out2, "rb").read()).hexdigest()
         assert h1 == h2
+
+    @pytest.mark.parametrize("command", ["benchmark", "generate"])
+    def test_option_defaults_are_spec_defaults(self, command):
+        defaults = {p.name: p.default for p in main.commands[command].params}
+        expected = {f.name: f.default for f in dataclasses.fields(datagen.GeneratorSpec)
+                    if f.default is not dataclasses.MISSING}
+        if command == "benchmark":  # its --seed is the estimator option
+            del expected["seed"]
+        assert {key: defaults[key] for key in expected} == expected
+
+    def test_sidecar_echoes_spec(self, runner, tmp_path):
+        out = str(tmp_path / "g.csv")
+        result = invoke(runner, [
+            "generate", "--generator", "noisy_gaussian", "--n", "50", "--d", "2",
+            "--ambient-dim", "4", "--sigma-eps", "0.5", "--seed", "3", "--output", out,
+        ])
+        assert result.exit_code == 0
+        assert json.loads(open(out + ".json").read()) == {
+            "schema_version": 1, "generator": "noisy_gaussian", "n": 50, "d": 2,
+            "ambient_dim": 4, "sigma_s": 1.0, "sigma_eps": 0.5, "ratio": 1.0, "seed": 3,
+            "periodic": None,
+        }
 
     def test_invalid_generator_args(self, runner, tmp_path):
         out = str(tmp_path / "x.csv")

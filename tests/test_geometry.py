@@ -66,6 +66,18 @@ class TestDataset:
         ds = Dataset(np.array([[7.0], [-1.0]]), periods=np.array([2 * np.pi]))
         assert np.all(ds.points >= 0) and np.all(ds.points < 2 * np.pi)
 
+    def test_tiny_negative_coordinate_wraps_to_zero(self):
+        # np.mod(-1e-20, 1.0) rounds to 1.0, the same torus point as 0.0
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(size=(300, 2))
+        pts[0], pts[1] = (0.0, 0.5), (-1e-20, 0.5)
+        ds = Dataset(pts, periods=np.ones(2))
+        assert ds.points.max() < 1.0
+        assert np.array_equal(ds.points[0], ds.points[1])
+        distinct, _ = geometry.deduplicate(ds)
+        assert distinct.n == 299
+        assert np.isfinite(twonn_estimate(build_neighbor_graph(distinct, 2)).d)
+
     def test_bad_periods(self):
         with pytest.raises(InvalidArgumentError):
             Dataset(np.array([[0.1], [0.2]]), periods=np.array([0.0]))

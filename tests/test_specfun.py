@@ -10,7 +10,7 @@ from scipy.stats import chi2, epps_singleton_2samp
 
 from idscale.errors import DegenerateSampleError, InvalidArgumentError
 from idscale.specfun import (
-    chi2_quantile_1df,
+    chi2_isf_1df,
     chi2_sf,
     epps_singleton,
     std_normal_quantile,
@@ -42,25 +42,26 @@ def normal_pdf(x):
 
 class TestChi2:
     def test_threshold_at_one_percent(self):
-        assert chi2_quantile_1df(0.99) == pytest.approx(6.635, abs=1e-3)
+        assert chi2_isf_1df(0.01) == pytest.approx(6.635, abs=1e-3)
 
     def test_median_matches_quadrature_oracle(self):
         oracle = quadrature_quantile(chi2_1_pdf, 0.5, 0.0, 10.0)
-        assert chi2_quantile_1df(0.5) == pytest.approx(oracle, abs=1e-8)
-        assert chi2_quantile_1df(0.5) == pytest.approx(0.4549, abs=1e-4)
+        assert chi2_isf_1df(0.5) == pytest.approx(oracle, abs=1e-8)
+        assert chi2_isf_1df(0.5) == pytest.approx(0.4549, abs=1e-4)
 
     def test_small_prob_limit(self):
-        assert chi2_quantile_1df(1e-12) < 1e-10
+        # a lower-tail probability of 1e-12
+        assert chi2_isf_1df(1.0 - 1e-12) < 1e-10
 
     def test_out_of_range(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
+        for tail in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(InvalidArgumentError):
-                chi2_quantile_1df(p)
+                chi2_isf_1df(tail)
 
     def test_round_trip(self):
-        for p in (0.01, 0.3, 0.5, 0.9, 0.99, 0.999):
-            cdf = special.gammainc(0.5, 0.5 * chi2_quantile_1df(p))
-            assert cdf == pytest.approx(p, abs=1e-8)
+        for tail in (0.99, 0.7, 0.5, 0.1, 0.01, 0.001):
+            sf = special.gammaincc(0.5, 0.5 * chi2_isf_1df(tail))
+            assert sf == pytest.approx(tail, abs=1e-8)
 
     def test_sf_df4_against_quadrature(self):
         def chi2_4_pdf(x):
