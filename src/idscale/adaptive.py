@@ -50,12 +50,20 @@ METHODS = ("twonn", "bide-r", "bide-k", "abide", "agride", "babide")
 
 @dataclass
 class EstimatorConfig:
+    """Every estimator option, in the order of the CLI's flags."""
+
     alpha: float = 0.01
-    threshold_mode: str = "fixed"
     k_max: int = 350
     max_iter: int = 5
     delta: float = 1e-4
+    tau: float | None = None
+    tb: float | None = None
+    k: int | None = None
+    alpha0: float = BETA_PRIOR
+    beta0: float = BETA_PRIOR
     beta_ci: float = BETA_CI
+    threshold_mode: str = "fixed"
+    depth: int = 512
     seed: int = 0
 
     def __post_init__(self):
@@ -69,6 +77,16 @@ class EstimatorConfig:
             raise InvalidArgumentError("max_iter must be >= 1 and delta > 0")
         if not 0.0 < self.beta_ci < 1.0:
             raise InvalidArgumentError(f"beta_ci must lie in (0, 1), got {self.beta_ci}")
+        if self.tau is not None and not 0.0 < self.tau < 1.0:
+            raise InvalidArgumentError(f"tau must lie in (0, 1), got {self.tau}")
+        if self.tb is not None and self.tb <= 0:
+            raise InvalidArgumentError(f"t_b must be positive, got {self.tb}")
+        if self.k is not None and self.k < 1:
+            raise InvalidArgumentError(f"k must be >= 1, got {self.k}")
+        if self.alpha0 <= 0 or self.beta0 <= 0:
+            raise InvalidArgumentError("prior parameters must be positive")
+        if self.depth < 1:
+            raise InvalidArgumentError(f"depth must be >= 1, got {self.depth}")
 
     def rejection_threshold(self, n: int) -> float:
         """D_thr for a dataset of size n, honouring the Bonferroni mode."""
@@ -102,7 +120,9 @@ class AdaptiveState:
 @dataclass
 class AbideResult:
     """An estimate and, for the adaptive methods, the loop's final state;
-    the fixed-scale methods leave the last three fields None."""
+    the fixed-scale methods leave the last three fields None.  The adaptive
+    methods divide ``estimate.fisher_info`` by ``pair_overlap_factor`` at
+    the terminal state and build ``estimate.ci`` from it."""
 
     estimate: IdEstimate
     state: AdaptiveState | None = None
@@ -237,12 +257,7 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
 
 
 def abide(graph: NeighborGraph, config: EstimatorConfig | None = None) -> AbideResult:
-    """Adaptive binomial estimator (closed-form update).
-
-    The reported ``fisher_info`` is already divided by
-    ``pair_overlap_factor`` at the terminal state, and ``ci`` is built
-    from it.
-    """
+    """Adaptive binomial estimator (closed-form update)."""
     config = config or EstimatorConfig()
 
     def update(_graph, counts, _k_star):
@@ -251,22 +266,13 @@ def abide(graph: NeighborGraph, config: EstimatorConfig | None = None) -> AbideR
     return _adaptive_loop(graph, config, update)
 
 
-def babide(
-    graph: NeighborGraph,
-    config: EstimatorConfig | None = None,
-    alpha0: float = BETA_PRIOR,
-    beta0: float = BETA_PRIOR,
-) -> AbideResult:
-    """Bayesian variant: the iteration update is the posterior mean.
-
-    The reported ``fisher_info`` is already divided by
-    ``pair_overlap_factor`` at the terminal state, and ``ci`` is built
-    from it.
-    """
+def babide(graph: NeighborGraph, config: EstimatorConfig | None = None) -> AbideResult:
+    """Bayesian variant: the iteration update is the posterior mean under
+    the Beta(``config.alpha0``, ``config.beta0``) prior."""
     config = config or EstimatorConfig()
 
     def update(_graph, counts, _k_star):
-        return beta_posterior(counts, alpha0, beta0).mean
+        return beta_posterior(counts, config.alpha0, config.beta0).mean
 
     return _adaptive_loop(graph, config, update)
 
@@ -285,9 +291,6 @@ def agride(graph: NeighborGraph, config: EstimatorConfig | None = None) -> Abide
 
     Same iteration skeleton as the binomial variant; tau only enters the
     reported counts and confidence interval, not the likelihood update.
-    The reported ``fisher_info`` is already divided by
-    ``pair_overlap_factor`` at the terminal state, and ``ci`` is built
-    from it.
     """
     config = config or EstimatorConfig()
 
@@ -297,47 +300,48 @@ def agride(graph: NeighborGraph, config: EstimatorConfig | None = None) -> Abide
     return _adaptive_loop(graph, config, update)
 
 
-def _given(value, name: str, method: str):
-    if value is None:
-        raise InvalidArgumentError(f"--{name} is required for method {method}")
-    return value
-
-
-def required_depth(method: str, n: int, config: EstimatorConfig, *, k: int | None,
-                   depth: int) -> int:
-    """Neighbour orders ``method`` needs stored for n distinct points;
-    ``depth`` is the one bide-r stores, as its radii have no natural bound."""
+def check_options(method: str, config: EstimatorConfig) -> None:
+    """Raise ``InvalidArgumentError`` for an unknown method, or for one
+    whose required options ``config`` leaves unset."""
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")
+    for name in {"bide-r": ("tb", "tau"), "bide-k": ("k", "tau")}.get(method, ()):
+        if getattr(config, name) is None:
+            raise InvalidArgumentError(f"--{name} is required for method {method}")
+
+
+def required_depth(method: str, n: int, config: EstimatorConfig) -> int:
+    """Neighbour orders ``method`` needs stored for n distinct points;
+    bide-r stores ``config.depth``, as its radii have no natural bound."""
+    check_options(method, config)
     if method == "twonn":
         return 2
     if method == "bide-k":
-        return min(n - 1, max(_given(k, "k", method), 2))
-    return min(n - 1, depth if method == "bide-r" else min(config.k_max, n - 2) + 1)
+        return min(n - 1, max(config.k, 2))
+    if method == "bide-r":
+        return min(n - 1, config.depth)
+    # k_max capped at n - 2: a test of order k needs k + 1 neighbours
+    return min(config.k_max, n - 2) + 1
 
 
-def run_method(method: str, graph: NeighborGraph, config: EstimatorConfig, *,
-               tau: float | None = None, tb: float | None = None, k: int | None = None,
-               alpha0: float = BETA_PRIOR, beta0: float = BETA_PRIOR) -> AbideResult:
+def run_method(method: str, graph: NeighborGraph, config: EstimatorConfig) -> AbideResult:
     """Run one of ``METHODS`` on ``graph``.
 
     Every method takes its CI level from ``config.beta_ci``; bide-r (which
-    needs ``tb`` and ``tau``) and bide-k (``k`` and ``tau``) take their
-    validation seed from ``config.seed``.  The adaptive methods cap
-    ``config.k_max`` at n - 2, with a warning when that lowers it.
+    needs ``config.tb`` and ``config.tau``) and bide-k (``config.k`` and
+    ``config.tau``) take their validation seed from ``config.seed``.  The
+    adaptive methods cap ``config.k_max`` at n - 2, with a warning when that
+    lowers it.
     """
+    check_options(method, config)
     fixed = {"beta": config.beta_ci, "seed": config.seed}
     if method == "twonn":
         return AbideResult(twonn_estimate(graph, beta=config.beta_ci))
     if method == "bide-r":
-        tb = _given(tb, "tb", method)
-        return AbideResult(bide_fixed_radius(graph, tb, _given(tau, "tau", method), **fixed))
+        return AbideResult(bide_fixed_radius(graph, config.tb, config.tau, **fixed))
     if method == "bide-k":
-        k = _given(k, "k", method)
-        return AbideResult(bide_fixed_k(graph, k, _given(tau, "tau", method), **fixed))
-    if method not in METHODS:
-        raise InvalidArgumentError(f"unknown method {method!r}")
-    k_max = min(config.k_max, graph.n_points - 2)
+        return AbideResult(bide_fixed_k(graph, config.k, config.tau, **fixed))
+    k_max = required_depth(method, graph.n_points, config) - 1
     if k_max < config.k_max:
         warnings.warn(f"k_max clamped to {k_max} for n={graph.n_points}")
         config = replace(config, k_max=k_max)
@@ -345,4 +349,4 @@ def run_method(method: str, graph: NeighborGraph, config: EstimatorConfig, *,
         return abide(graph, config)
     if method == "agride":
         return agride(graph, config)
-    return babide(graph, config, alpha0=alpha0, beta0=beta0)
+    return babide(graph, config)

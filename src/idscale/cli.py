@@ -10,6 +10,7 @@ import math
 import os
 import sys
 import time
+import typing
 import urllib.request
 from concurrent.futures import ProcessPoolExecutor
 
@@ -19,40 +20,17 @@ from scipy import stats as scipy_stats
 
 from . import adaptive as adaptive_mod
 from . import datagen, estimators, geometry
-from .adaptive import METHODS
+from .adaptive import METHODS, THRESHOLD_MODES
 from .errors import IdscaleError, InvalidArgumentError, ParseError
 from .geometry import Dataset, build_neighbor_graph
 
 SCHEMA_VERSION = 1
 
-_THRESHOLD_MODES = {
-    "fixed": "fixed",
-    "bonf-h": "bonferroni_h",
-    "bonf-n": "bonferroni_n",
-    "bonf-nh": "bonferroni_nh",
-}
-
-# the estimator options of the commands, as name: (type, default), in
-# --help order; the defaults are EstimatorConfig's, babide's Beta prior and
-# the stored depth of bide-r
-_DEFAULTS = adaptive_mod.EstimatorConfig()
-_OPTIONS = {
-    "alpha": (float, _DEFAULTS.alpha),
-    "kmax": (int, _DEFAULTS.k_max),
-    "max_iter": (int, _DEFAULTS.max_iter),
-    "tol": (float, _DEFAULTS.delta),
-    "tau": (float, None),
-    "tb": (float, None),
-    "k": (int, None),
-    "alpha0": (float, estimators.BETA_PRIOR),
-    "beta0": (float, estimators.BETA_PRIOR),
-    "beta_ci": (float, _DEFAULTS.beta_ci),
-    "threshold_mode": (click.Choice(list(_THRESHOLD_MODES)),
-                       {v: k for k, v in _THRESHOLD_MODES.items()}[_DEFAULTS.threshold_mode]),
-    "depth": (int, 512),
-    "seed": (int, _DEFAULTS.seed),
-}
-_DEFAULT_CFG = {name: default for name, (_, default) in _OPTIONS.items()}
+# the CLI's own names: the flags that differ from their EstimatorConfig
+# field, and the flag spellings of the threshold modes
+_FLAG_NAMES = {"k_max": "kmax", "delta": "tol"}
+_THRESHOLD_FLAGS = {mode: mode.replace("bonferroni_", "bonf-") for mode in THRESHOLD_MODES}
+_THRESHOLD_MODES = {flag: mode for mode, flag in _THRESHOLD_FLAGS.items()}
 
 OPTDIGITS_URL = (
     "https://archive.ics.uci.edu/ml/machine-learning-databases/optdigits/optdigits.tra"
@@ -173,29 +151,21 @@ def _threads_from(option_value: int | None) -> int:
     return int(value)
 
 
-def _build_and_run(methods: tuple[str, ...], dataset: Dataset, opts: dict):
-    """Run ``methods[0]`` on a graph deep enough for each of ``methods``.
+def _build_and_run(method: str, dataset: Dataset, config: adaptive_mod.EstimatorConfig,
+                   depth: int = 0):
+    """Run ``method`` on a graph deep enough for it and for ``depth``
+    neighbour orders, both capped at the number of distinct points - 1.
 
-    ``opts`` holds every estimator option of ``_DEFAULT_CFG``.  Returns
-    the graph, the ``AbideResult`` and the graph and estimate wall times.
+    Returns the graph, the ``AbideResult`` and the graph and estimate wall
+    times.
     """
-    config = adaptive_mod.EstimatorConfig(
-        alpha=opts["alpha"], threshold_mode=_THRESHOLD_MODES[opts["threshold_mode"]],
-        k_max=opts["kmax"], max_iter=opts["max_iter"], delta=opts["tol"],
-        beta_ci=opts["beta_ci"], seed=opts["seed"],
-    )
     t0 = time.perf_counter()
-    # the depth is bounded by the number of distinct points
     dataset, _ = geometry.deduplicate(dataset)
     graph = build_neighbor_graph(dataset, max(
-        adaptive_mod.required_depth(m, dataset.n, config, k=opts["k"], depth=opts["depth"])
-        for m in methods
+        adaptive_mod.required_depth(method, dataset.n, config), min(depth, dataset.n - 1)
     ))
     t1 = time.perf_counter()
-    res = adaptive_mod.run_method(
-        methods[0], graph, config, tau=opts["tau"], tb=opts["tb"], k=opts["k"],
-        alpha0=opts["alpha0"], beta0=opts["beta0"],
-    )
+    res = adaptive_mod.run_method(method, graph, config)
     return graph, res, {"graph_s": t1 - t0, "estimate_s": time.perf_counter() - t1}
 
 
@@ -233,16 +203,26 @@ def main():
 
 
 def _estimator_options(*skip):
-    """Decorator adding the estimator options, less those named in ``skip``."""
+    """Decorator adding a flag per ``EstimatorConfig`` field, less the
+    fields named in ``skip``, with the field's default; ``--threshold-mode``
+    takes the flag spellings."""
 
     def decorate(fn):
-        for name, (kind, default) in reversed(_OPTIONS.items()):
-            if name not in skip:
-                fn = click.option(
-                    "--" + name.replace("_", "-"), type=kind, default=default,
-                    show_default=True,
-                    help="stored neighbour orders for bide-r" if name == "depth" else None,
-                )(fn)
+        hints = typing.get_type_hints(adaptive_mod.EstimatorConfig)
+        for field in reversed(dataclasses.fields(adaptive_mod.EstimatorConfig)):
+            if field.name in skip:
+                continue
+            hint, default, extra = hints[field.name], field.default, {}
+            kind = (typing.get_args(hint) or (hint,))[0]  # float | None -> float
+            if field.name == "threshold_mode":
+                kind, default = click.Choice(list(_THRESHOLD_MODES)), _THRESHOLD_FLAGS[default]
+                extra["callback"] = lambda _ctx, _param, flag: _THRESHOLD_MODES[flag]
+            elif field.name == "depth":
+                extra["help"] = "stored neighbour orders for bide-r"
+            fn = click.option(
+                "--" + _FLAG_NAMES.get(field.name, field.name).replace("_", "-"), field.name,
+                type=kind, default=default, show_default=True, **extra,
+            )(fn)
         return fn
 
     return decorate
@@ -256,14 +236,17 @@ def _estimator_options(*skip):
 @_estimator_options()
 def estimate(method, input_path, periodic, output, **opts):
     """Run one estimator on a CSV dataset and emit a JSON report."""
+    config = adaptive_mod.EstimatorConfig(**opts)
     dataset = load_dataset(input_path, _parse_periodic(periodic))
-    graph, res, timing = _build_and_run((method,), dataset, opts)
-    config = {key: opts[key] for key in _OPTIONS if key not in ("depth", "seed")}
+    graph, res, timing = _build_and_run(method, dataset, config)
+    echo = {_FLAG_NAMES.get(name, name): value for name, value in dataclasses.asdict(config).items()
+            if name not in ("depth", "seed")}
     report = {
         "schema_version": SCHEMA_VERSION,
         "method": method,
         "dataset": dataset_fingerprint(graph.dataset),
-        "config": {**config, "periodic": periodic, "seed": opts["seed"]},
+        "config": {**echo, "threshold_mode": _THRESHOLD_FLAGS[config.threshold_mode],
+                   "periodic": periodic, "seed": config.seed},
         "estimate": dataclasses.asdict(res.estimate),
         "timing": timing,
     }
@@ -289,12 +272,18 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
          output, **opts):
     """Sweep fixed-radius or fixed-k estimates across a grid, with the
     adaptive estimate as the starred reference."""
+    config = adaptive_mod.EstimatorConfig(**opts)
     if grid_size < 1:
         raise InvalidArgumentError(f"--grid-size must be >= 1, got {grid_size}")
+    for flag, bound in (("--tb-min", tb_min), ("--tb-max", tb_max)):
+        if bound is not None and bound <= 0:
+            raise InvalidArgumentError(f"{flag} must be positive, got {bound}")
+    if k_max_scan is not None and k_max_scan < 2:
+        raise InvalidArgumentError(f"--k-max-scan must be >= 2, got {k_max_scan}")
     dataset = load_dataset(input_path, _parse_periodic(periodic))
     # one graph for the abide reference and a bide-r depth of grid radii
-    graph, ref, timing = _build_and_run(("abide", "bide-r"), dataset, {**_DEFAULT_CFG, **opts})
-    tau = opts["tau"] if opts["tau"] is not None else estimators.optimal_tau(ref.estimate.d)
+    graph, ref, timing = _build_and_run("abide", dataset, config, depth=config.depth)
+    tau = config.tau if config.tau is not None else estimators.optimal_tau(ref.estimate.d)
     if mode == "radius":
         lo = tb_min if tb_min is not None else float(np.median(graph.distances[:, 0]))
         hi = tb_max if tb_max is not None else float(graph.distances[:, -1].min())
@@ -307,7 +296,7 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
     for scale in grid.tolist():
         entry = {key: scale}
         try:
-            est = fit(graph, scale, tau, beta=opts["beta_ci"], seed=opts["seed"])
+            est = fit(graph, scale, tau, beta=config.beta_ci, seed=config.seed)
             entry.update(d=est.d, ci=list(est.ci), validation_p=est.validation_p)
         except IdscaleError as err:
             entry.update(error=err.kind, message=str(err))
@@ -351,8 +340,8 @@ def _generator_options(fn):
 def _benchmark_replica(payload: dict) -> dict:
     """One seeded replica: generate, build the graph, run the method."""
     spec = payload["spec"]
-    graph, res, timing = _build_and_run((payload["method"],), datagen.generate(spec),
-                                        {**payload["config"], "seed": spec.seed})
+    graph, res, timing = _build_and_run(payload["method"], datagen.generate(spec),
+                                        dataclasses.replace(payload["config"], seed=spec.seed))
     est = res.estimate
     out = {
         "replica": payload["replica"],
@@ -373,8 +362,11 @@ def _benchmark_replica(payload: dict) -> dict:
 def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
                   threads: int = 1, normality: bool = False, d_true: float | None = None,
                   estimator_cfg: dict | None = None) -> dict:
-    """Seeded Monte Carlo replicas of one generator/method pair."""
-    cfg = {**_DEFAULT_CFG, **(estimator_cfg or {})}
+    """Seeded Monte Carlo replicas of one generator/method pair;
+    ``estimator_cfg`` maps ``EstimatorConfig`` fields to values, and each
+    replica's seed replaces the config's."""
+    config = adaptive_mod.EstimatorConfig(**(estimator_cfg or {}))
+    adaptive_mod.check_options(method, config)
     if replicas < 1:
         raise InvalidArgumentError(f"--replicas must be >= 1, got {replicas}")
     if normality:
@@ -386,7 +378,7 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
             )
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(spec.seed).spawn(replicas)]
     payloads = [
-        {"spec": dataclasses.replace(spec, seed=s), "method": method, "config": cfg, "replica": r}
+        {"spec": dataclasses.replace(spec, seed=s), "method": method, "config": config, "replica": r}
         for r, s in enumerate(seeds)
     ]
     if threads > 1 and replicas > 1:

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from idscale.adaptive import (
     abide,
     agride,
     babide,
+    check_options,
     gride_update_from_k_star,
     lrt_statistic,
     required_depth,
@@ -124,6 +126,16 @@ class TestEstimatorConfig:
             EstimatorConfig(threshold_mode="nope")
         with pytest.raises(InvalidArgumentError):
             EstimatorConfig(k_max=1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau", 0.0, "tau must lie in"), ("tau", 1.0, "tau must lie in"),
+        ("tb", 0.0, "t_b must be positive"), ("tb", -1.0, "t_b must be positive"),
+        ("k", 0, "k must be >= 1"), ("alpha0", 0.0, "prior parameters"),
+        ("beta0", -1.0, "prior parameters"), ("depth", 0, "depth must be >= 1"),
+    ])
+    def test_method_option_validation(self, field, value, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            EstimatorConfig(**{field: value})
 
 
 class TestSelectKStar:
@@ -317,7 +329,8 @@ class TestBabideAndAgride:
 
 
 ADAPTIVE = ("abide", "agride", "babide")
-FIXED_SCALE_PARAMS = {"tau": 0.5, "tb": 0.1, "k": 10}
+# the default config with the options of the fixed-scale methods set
+FIXED_SCALE = EstimatorConfig(tau=0.5, tb=0.1, k=10)
 
 
 @pytest.fixture(scope="module")
@@ -328,12 +341,11 @@ def torus_150():
 class TestRunMethod:
     @pytest.mark.parametrize("method", METHODS)
     def test_result_at_required_depth(self, torus_150, method):
-        config = EstimatorConfig()
-        depth = required_depth(method, torus_150.n, config, k=10, depth=512)
+        depth = required_depth(method, torus_150.n, FIXED_SCALE)
         graph = build_neighbor_graph(torus_150, depth)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = run_method(method, graph, config, **FIXED_SCALE_PARAMS)
+            res = run_method(method, graph, FIXED_SCALE)
         assert isinstance(res, AbideResult)
         assert np.isfinite(res.estimate.d) and res.estimate.d > 0
         adaptive = method in ADAPTIVE
@@ -343,14 +355,15 @@ class TestRunMethod:
         clamps = [w for w in caught if "k_max clamped to 148 for n=150" in str(w.message)]
         assert len(clamps) == adaptive
         if adaptive:
-            assert res.state.k_max == 148 and config.k_max == 350
+            assert res.state.k_max == 148 and FIXED_SCALE.k_max == 350
+            assert depth == 149
 
     @pytest.mark.parametrize("method", ["twonn", "bide-r", "bide-k"])
     def test_fixed_scale_methods_read_the_config(self, torus_150, method):
         graph = build_neighbor_graph(torus_150, 149)
 
         def run(**cfg):
-            return run_method(method, graph, EstimatorConfig(**cfg), **FIXED_SCALE_PARAMS)
+            return run_method(method, graph, replace(FIXED_SCALE, **cfg))
 
         wide, narrow = run(beta_ci=0.05).estimate, run(beta_ci=0.5).estimate
         assert wide.d == narrow.d
@@ -363,17 +376,28 @@ class TestRunMethod:
     ])
     def test_missing_parameter(self, torus_150, method, missing):
         graph = build_neighbor_graph(torus_150, 149)
-        params = {**FIXED_SCALE_PARAMS, missing: None}
+        config = replace(FIXED_SCALE, **{missing: None})
         with pytest.raises(InvalidArgumentError, match=f"--{missing} is required"):
-            run_method(method, graph, EstimatorConfig(), **params)
+            run_method(method, graph, config)
+        with pytest.raises(InvalidArgumentError, match=f"--{missing} is required"):
+            check_options(method, config)
 
     def test_bide_k_depth_needs_k(self):
         with pytest.raises(InvalidArgumentError, match="--k is required"):
-            required_depth("bide-k", 150, EstimatorConfig(), k=None, depth=512)
+            required_depth("bide-k", 150, replace(FIXED_SCALE, k=None))
 
     def test_unknown_method(self, torus_150):
         graph = build_neighbor_graph(torus_150, 149)
         with pytest.raises(InvalidArgumentError, match="unknown method"):
-            run_method("mle", graph, EstimatorConfig(), **FIXED_SCALE_PARAMS)
+            run_method("mle", graph, FIXED_SCALE)
         with pytest.raises(InvalidArgumentError, match="unknown method"):
-            required_depth("mle", 150, EstimatorConfig(), k=10, depth=512)
+            required_depth("mle", 150, FIXED_SCALE)
+
+    def test_babide_reads_the_prior(self, torus_150):
+        graph = build_neighbor_graph(torus_150, 149)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            flat = run_method("babide", graph, FIXED_SCALE)
+            strong = run_method("babide", graph, replace(FIXED_SCALE, alpha0=50.0))
+        # the first update is the posterior mean, which the prior moves
+        assert flat.estimate.trace[1].d != strong.estimate.trace[1].d

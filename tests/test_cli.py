@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import hashlib
-import inspect
 import os
 import warnings
 
@@ -10,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from idscale import cli, datagen, estimators
-from idscale.adaptive import EstimatorConfig, babide
+from idscale.adaptive import EstimatorConfig, run_method
 from idscale.cli import load_dataset, main, run_benchmark, save_dataset_csv
 from idscale.errors import InvalidArgumentError, ParseError
 from idscale.geometry import Dataset, build_neighbor_graph
@@ -273,6 +272,15 @@ class TestBenchmarkCommand:
         assert summary["per_replica"][0]["d"] == estimators.twonn_estimate(graph).d
         assert summary["quantiles"]["q50"] == summary["per_replica"][0]["d"]
 
+    def test_replica_seed_is_the_validation_seed(self):
+        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=400, d=2, seed=1)
+        cfg = {"k": 20, "tau": 0.45}
+        rep = run_benchmark(spec, "bide-k", replicas=1, threads=1, estimator_cfg=cfg)["per_replica"][0]
+        ds = datagen.generate(dataclasses.replace(spec, seed=rep["seed"]))
+        direct = run_method("bide-k", build_neighbor_graph(ds, 20),
+                            EstimatorConfig(**cfg, seed=rep["seed"])).estimate
+        assert rep["validation_p"] == direct.validation_p and rep["d"] == direct.d
+
     def test_replica_determinism_across_thread_counts(self):
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=4)
         serial = run_benchmark(spec, "twonn", replicas=4, threads=1)
@@ -361,28 +369,22 @@ class TestBenchmarkCommand:
 
 
 class TestEstimatorDefaults:
-    """Every estimator default of the commands comes from EstimatorConfig."""
+    """Every estimator option of the commands is an EstimatorConfig field,
+    with the field's default."""
 
-    @staticmethod
-    def expected():
-        cfg = EstimatorConfig()
-        prior = inspect.signature(babide).parameters
-        flag = {mode: name for name, mode in cli._THRESHOLD_MODES.items()}
-        return {
-            "alpha": cfg.alpha, "kmax": cfg.k_max, "max_iter": cfg.max_iter,
-            "tol": cfg.delta, "beta_ci": cfg.beta_ci,
-            "threshold_mode": flag[cfg.threshold_mode], "seed": cfg.seed,
-            "alpha0": prior["alpha0"].default, "beta0": prior["beta0"].default,
-        }
+    SCAN_SKIPS = {"tb", "k", "alpha0", "beta0"}  # the abide reference and grid leave them unused
 
     @pytest.mark.parametrize("command", ["estimate", "scan", "benchmark"])
     def test_click_defaults(self, command):
-        defaults = {p.name: p.default for p in main.commands[command].params}
-        expected = self.expected()
-        if command == "scan":  # the reference is abide, which takes no Beta prior
-            del expected["alpha0"], expected["beta0"]
-        for key, value in expected.items():
-            assert defaults[key] == value, key
+        params = {p.name: p for p in main.commands[command].params}
+        for field in dataclasses.fields(EstimatorConfig):
+            if command == "scan" and field.name in self.SCAN_SKIPS:
+                assert field.name not in params
+                continue
+            default = params[field.name].default
+            if field.name == "threshold_mode":
+                default = cli._THRESHOLD_MODES[default]
+            assert default == field.default, field.name
 
     def test_run_benchmark_defaults(self, monkeypatch):
         seen = []
@@ -394,9 +396,57 @@ class TestEstimatorDefaults:
         monkeypatch.setattr(cli, "_benchmark_replica", capture)
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
         run_benchmark(spec, "abide", replicas=1, threads=1)
-        expected = self.expected()
-        del expected["seed"]  # replicas take their seeds from the generator spec
-        assert {key: seen[0][key] for key in expected} == expected
+        run_benchmark(spec, "bide-k", replicas=1, threads=1, estimator_cfg={"k": 20, "tau": 0.45})
+        assert seen == [EstimatorConfig(), EstimatorConfig(k=20, tau=0.45)]
+
+
+class TestOptionsCheckedBeforeGraph:
+    """Bad estimator options and a fixed-scale method's missing options end
+    in exit 2 before any graph is built or replica runs."""
+
+    @pytest.fixture()
+    def no_graph(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the graph was built before the option check")
+
+        monkeypatch.setattr(cli, "build_neighbor_graph", fail)
+
+    @pytest.mark.parametrize("args", [
+        ["scan", "--mode", "radius", "--tb-min", "0"],
+        ["scan", "--mode", "radius", "--tb-min", "-1"],
+        ["scan", "--mode", "radius", "--tb-max", "0"],
+        ["scan", "--mode", "k", "--k-max-scan", "1"],
+        ["scan", "--mode", "k", "--tau", "2"],
+        ["estimate", "--method", "babide", "--alpha0", "-1"],
+        ["estimate", "--method", "bide-r", "--tau", "0.5"],
+        ["estimate", "--method", "bide-k", "--k", "5", "--tau", "1.5"],
+        ["estimate", "--method", "bide-r", "--tb", "0.1", "--tau", "0.5", "--depth", "0"],
+    ], ids=" ".join)
+    def test_cli_exit_code(self, runner, tmp_path, no_graph, args):
+        path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n")
+        result = invoke(runner, args + ["--input", path])
+        assert result.exit_code == 2
+        assert error_json(result)["error"] == "invalid-argument"
+
+    @pytest.mark.parametrize("args, cfg", [
+        (["--method", "bide-k", "--k", "20"], {"k": 20}),
+        (["--method", "babide", "--beta0", "0"], {"beta0": 0.0}),
+    ], ids=["bide-k without tau", "babide beta0 0"])
+    def test_benchmark_exit_code(self, runner, monkeypatch, args, cfg):
+        def no_replica(payload):
+            raise AssertionError("a replica ran before the option check")
+
+        monkeypatch.setattr(cli, "_benchmark_replica", no_replica)
+        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
+        method = args[1]
+        with pytest.raises(InvalidArgumentError):
+            run_benchmark(spec, method, replicas=2, threads=1, estimator_cfg=cfg)
+        result = invoke(runner, [
+            "benchmark", "--generator", "uniform_hypercube_periodic", "--n", "200",
+            "--d", "2", "--replicas", "2", "--threads", "1",
+        ] + args)
+        assert result.exit_code == 2
+        assert error_json(result)["error"] == "invalid-argument"
 
 
 class TestGenerateCommand:
