@@ -13,9 +13,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 
 from .errors import (
-    EstimateUnboundedError,
+    DegenerateDatasetError,
     InsufficientGraphDepthError,
     InvalidArgumentError,
     OptimizationFailureError,
@@ -36,7 +37,6 @@ from .estimators import (
     twonn_estimate,
 )
 from .geometry import NeighborGraph, counts_within_open_balls
-from .specfun import chi2_isf_1df
 from .validation import validate_model
 
 _LOG4 = float(np.log(4.0))
@@ -94,7 +94,8 @@ class EstimatorConfig:
         divisor = {"fixed": 1, "bonferroni_h": h, "bonferroni_n": n, "bonferroni_nh": n * h}[
             self.threshold_mode
         ]
-        return chi2_isf_1df(self.alpha / divisor)
+        # the chi-square(1) quantile from the upper tail, so small tails keep their digits
+        return float(2.0 * special.gammainccinv(0.5, self.alpha / divisor))
 
 
 @dataclass
@@ -226,16 +227,10 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     for step in range(config.max_iter):
         tau = optimal_tau(d_current)
         k_star = _k_star_from_onsets(onsets, d_current, config.k_max)
-        try:
-            _, counts = _assemble_counts(graph, k_star, tau, config.k_max)
-            d_next = update(graph, counts, k_star)
-        except EstimateUnboundedError as err:
-            err.trace = trace
-            raise
+        _, counts = _assemble_counts(graph, k_star, tau, config.k_max)
+        d_next = update(graph, counts, k_star)
         if not np.isfinite(d_next) or d_next <= 0:
-            err = OptimizationFailureError(f"non-finite or non-positive iterate {d_next}")
-            err.trace = trace
-            raise err
+            raise OptimizationFailureError(f"non-finite or non-positive iterate {d_next}")
         p_val = validate_model(
             counts.k_a, counts.k_b, d_next, tau, seed=_validation_seed(config, step)
         ).p_value
@@ -312,7 +307,9 @@ def check_options(method: str, config: EstimatorConfig) -> None:
 
 def required_depth(method: str, n: int, config: EstimatorConfig) -> int:
     """Neighbour orders ``method`` needs stored for n distinct points;
-    bide-r stores ``config.depth``, as its radii have no natural bound."""
+    bide-r stores ``config.depth``, as its radii have no natural bound.
+    The adaptive methods need K_MIN + 2 points, else the dataset is
+    degenerate."""
     check_options(method, config)
     if method == "twonn":
         return 2
@@ -320,6 +317,10 @@ def required_depth(method: str, n: int, config: EstimatorConfig) -> int:
         return min(n - 1, max(config.k, 2))
     if method == "bide-r":
         return min(n - 1, config.depth)
+    if n < K_MIN + 2:
+        raise DegenerateDatasetError(
+            f"{method} needs at least {K_MIN + 2} distinct points, got {n}"
+        )
     # k_max capped at n - 2: a test of order k needs k + 1 neighbours
     return min(config.k_max, n - 2) + 1
 

@@ -287,16 +287,17 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
     if mode == "radius":
         lo = tb_min if tb_min is not None else float(np.median(graph.distances[:, 0]))
         hi = tb_max if tb_max is not None else float(graph.distances[:, -1].min())
-        key, fit, grid = "t_b", estimators.bide_fixed_radius, np.geomspace(lo, hi, grid_size)
+        method, key, field, grid = "bide-r", "t_b", "tb", np.geomspace(lo, hi, grid_size)
     else:
         hi = k_max_scan if k_max_scan is not None else min(ref.state.k_max, graph.depth)
-        key, fit = "k", estimators.bide_fixed_k
+        method, key, field = "bide-k", "k", "k"
         grid = np.unique(np.geomspace(max(2, k_min), hi, grid_size).astype(int))
     entries = []
     for scale in grid.tolist():
         entry = {key: scale}
         try:
-            est = fit(graph, scale, tau, beta=config.beta_ci, seed=config.seed)
+            entry_config = dataclasses.replace(config, tau=tau, **{field: scale})
+            est = adaptive_mod.run_method(method, graph, entry_config).estimate
             entry.update(d=est.d, ci=list(est.ci), validation_p=est.validation_p)
         except IdscaleError as err:
             entry.update(error=err.kind, message=str(err))

@@ -33,18 +33,10 @@ class DegenerateScaleError(IdscaleError):
 
 
 class EstimateUnboundedError(IdscaleError):
-    """Closed-form estimate diverges (no inner-ball counts).
-
-    ``estimate`` holds the +inf sentinel so callers can mark the scale
-    unusable instead of plotting a spurious number.
-    """
+    """Closed-form estimate diverges (no inner-ball counts)."""
 
     kind = "estimate-unbounded"
     exit_code = 6
-
-    def __init__(self, message, estimate=float("inf")):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 class DegenerateSampleError(IdscaleError):

@@ -23,7 +23,6 @@ from .errors import (
     OptimizationFailureError,
 )
 from .geometry import NeighborGraph, counts_within_open_balls
-from .specfun import std_normal_quantile
 from .validation import validate_model
 
 # optimal inner/outer radius ratio is C_STAR ** (1/d)
@@ -130,7 +129,9 @@ def fisher_interval(d_star, tau, kb_values, beta=BETA_CI):
 
 
 def _normal_interval(d_star, total_info, beta):
-    half = std_normal_quantile(1.0 - beta / 2.0) / np.sqrt(total_info)
+    if not 0.0 < beta < 1.0:
+        raise InvalidArgumentError(f"beta must lie in (0, 1), got {beta}")
+    half = special.ndtri(1.0 - beta / 2.0) / np.sqrt(total_info)
     return (float(d_star - half), float(d_star + half))
 
 

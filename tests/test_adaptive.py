@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.stats import chi2
 
 from idscale.adaptive import (
@@ -26,10 +27,13 @@ from idscale.datagen import (
     gen_sine_toy,
     gen_uniform_hypercube_periodic,
 )
-from idscale.errors import InsufficientGraphDepthError, InvalidArgumentError
+from idscale.errors import (
+    DegenerateDatasetError,
+    InsufficientGraphDepthError,
+    InvalidArgumentError,
+)
 from idscale.estimators import twonn_estimate
 from idscale.geometry import Dataset, NeighborGraph, build_neighbor_graph
-from idscale.specfun import chi2_isf_1df, chi2_sf
 
 # frozen by direct evaluation of -2*(log 2 + log 4 - 2 log 6 + log 4)
 LRT_UNIT_EXAMPLE = 0.2355660713127670
@@ -48,7 +52,7 @@ def small_config(**kw):
 
 def alpha_for(d_thr):
     """The alpha whose fixed-mode rejection threshold is ``d_thr``."""
-    return float(chi2_sf(d_thr, 1))
+    return float(special.gammaincc(0.5, d_thr / 2))
 
 
 class TestLrtStatistic:
@@ -101,13 +105,13 @@ class TestEstimatorConfig:
         cfg = EstimatorConfig(k_max=100)
         h = 100 - K_MIN + 1
         assert EstimatorConfig(k_max=100, threshold_mode="bonferroni_h").rejection_threshold(n) == pytest.approx(
-            chi2_isf_1df(0.01 / h), rel=1e-12
+            chi2.isf(0.01 / h, 1), rel=1e-12
         )
         assert EstimatorConfig(k_max=100, threshold_mode="bonferroni_n").rejection_threshold(n) == pytest.approx(
-            chi2_isf_1df(0.01 / n), rel=1e-12
+            chi2.isf(0.01 / n, 1), rel=1e-12
         )
         assert EstimatorConfig(k_max=100, threshold_mode="bonferroni_nh").rejection_threshold(n) == pytest.approx(
-            chi2_isf_1df(0.01 / (n * h)), rel=1e-12
+            chi2.isf(0.01 / (n * h), 1), rel=1e-12
         )
         assert cfg.rejection_threshold(n) < EstimatorConfig(
             k_max=100, threshold_mode="bonferroni_nh"
@@ -385,6 +389,16 @@ class TestRunMethod:
     def test_bide_k_depth_needs_k(self):
         with pytest.raises(InvalidArgumentError, match="--k is required"):
             required_depth("bide-k", 150, replace(FIXED_SCALE, k=None))
+
+    @pytest.mark.parametrize("method", ADAPTIVE)
+    def test_adaptive_needs_four_points(self, method):
+        graph = build_neighbor_graph(Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])), 2)
+        message = f"{method} needs at least 4 distinct points, got 3"
+        with pytest.raises(DegenerateDatasetError, match=message):
+            run_method(method, graph, FIXED_SCALE)
+        with pytest.raises(DegenerateDatasetError, match=message):
+            required_depth(method, 3, FIXED_SCALE)
+        assert required_depth(method, 4, FIXED_SCALE) == 3
 
     def test_unknown_method(self, torus_150):
         graph = build_neighbor_graph(torus_150, 149)

@@ -402,7 +402,8 @@ class TestEstimatorDefaults:
 
 class TestOptionsCheckedBeforeGraph:
     """Bad estimator options and a fixed-scale method's missing options end
-    in exit 2 before any graph is built or replica runs."""
+    in exit 2, and too few points for an adaptive method in exit 3, before
+    any graph is built or replica runs."""
 
     @pytest.fixture()
     def no_graph(self, monkeypatch):
@@ -427,6 +428,18 @@ class TestOptionsCheckedBeforeGraph:
         result = invoke(runner, args + ["--input", path])
         assert result.exit_code == 2
         assert error_json(result)["error"] == "invalid-argument"
+
+    @pytest.mark.parametrize("method", ["abide", "agride", "babide"])
+    def test_adaptive_method_on_three_points(self, runner, tmp_path, no_graph, method):
+        path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = invoke(runner, ["estimate", "--method", method, "--input", path])
+        assert result.exit_code == 3
+        assert error_json(result) == {
+            "error": "degenerate-dataset",
+            "message": f"{method} needs at least 4 distinct points, got 3",
+        }
 
     @pytest.mark.parametrize("args, cfg", [
         (["--method", "bide-k", "--k", "20"], {"k": 20}),

@@ -132,9 +132,8 @@ class TestBideClosedForm:
 
     def test_empty_inner_balls_diverge(self):
         counts = BinomialCounts(k_a=np.array([0, 0]), k_b=np.array([3, 4]), tau=0.5)
-        with pytest.raises(EstimateUnboundedError) as exc:
+        with pytest.raises(EstimateUnboundedError):
             bide_closed_form(counts)
-        assert exc.value.estimate == np.inf
 
     @given(
         sum_a=st.integers(min_value=1, max_value=50),
@@ -240,6 +239,18 @@ class TestFisherInterval:
     def test_degenerate_counts(self):
         with pytest.raises(DegenerateScaleError):
             fisher_interval(1.0, 0.5, [0, 0], beta=0.05)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, 2.0])
+    def test_beta_outside_unit_interval(self, beta):
+        # beta in [1, 2) would give a zero-width or reversed interval
+        g = build_neighbor_graph(gen_uniform_hypercube_periodic(n=400, d=2, seed=0), K=20)
+        message = rf"beta must lie in \(0, 1\), got {beta}"
+        with pytest.raises(InvalidArgumentError, match=message):
+            fisher_interval(1.0, 0.5, [1], beta=beta)
+        with pytest.raises(InvalidArgumentError, match=message):
+            twonn_estimate(g, beta=beta)
+        with pytest.raises(InvalidArgumentError, match=message):
+            bide_fixed_k(g, 20, 0.5, beta=beta)
 
 
 class TestBetaPosterior:

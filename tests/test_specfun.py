@@ -1,3 +1,8 @@
+"""The special functions behind the library's numbers, tested at the call
+sites that use them: the Epps-Singleton test of ``idscale.validation``,
+the chi-square(1) rejection threshold of ``EstimatorConfig`` and the
+standard normal quantile behind ``fisher_interval``."""
+
 import warnings
 
 import numpy as np
@@ -8,14 +13,11 @@ from scipy import special
 from scipy.integrate import quad
 from scipy.stats import chi2, epps_singleton_2samp
 
+from idscale.adaptive import EstimatorConfig
 from idscale.errors import DegenerateSampleError, InvalidArgumentError
-from idscale.specfun import (
-    chi2_isf_1df,
-    chi2_sf,
-    epps_singleton,
-    std_normal_quantile,
-)
-from idscale.specfun import _histogram, _pooled_semi_iqr
+from idscale.estimators import fisher_interval
+from idscale.validation import _histogram, _pooled_semi_iqr, epps_singleton
+
 
 def quadrature_quantile(pdf, prob, lo, hi, tol=1e-12):
     """Independent quantile oracle: bisection on a quadrature CDF."""
@@ -40,55 +42,75 @@ def normal_pdf(x):
     return np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
 
 
+def chi2_threshold(tail):
+    """The fixed-mode rejection threshold at level ``tail``: the chi-square(1)
+    quantile with upper tail ``tail``."""
+    return EstimatorConfig(alpha=tail).rejection_threshold(1000)
+
+
+def normal_quantile(prob):
+    """The standard normal quantile at ``prob``, read off the half-width of
+    ``fisher_interval`` at level 1 - beta = 2 prob - 1.  At d = 1, tau = 1/2
+    and one outer count the information is (log 2)^2, so the half-width is
+    the quantile over log 2."""
+    lo, hi = fisher_interval(1.0, 0.5, [1], beta=2.0 * (1.0 - prob))
+    return 0.5 * (hi - lo) * np.log(2.0)
+
+
 class TestChi2:
     def test_threshold_at_one_percent(self):
-        assert chi2_isf_1df(0.01) == pytest.approx(6.635, abs=1e-3)
+        assert chi2_threshold(0.01) == pytest.approx(6.635, abs=1e-3)
 
     def test_median_matches_quadrature_oracle(self):
         oracle = quadrature_quantile(chi2_1_pdf, 0.5, 0.0, 10.0)
-        assert chi2_isf_1df(0.5) == pytest.approx(oracle, abs=1e-8)
-        assert chi2_isf_1df(0.5) == pytest.approx(0.4549, abs=1e-4)
+        assert chi2_threshold(0.5) == pytest.approx(oracle, abs=1e-8)
+        assert chi2_threshold(0.5) == pytest.approx(0.4549, abs=1e-4)
 
     def test_small_prob_limit(self):
         # a lower-tail probability of 1e-12
-        assert chi2_isf_1df(1.0 - 1e-12) < 1e-10
+        assert chi2_threshold(1.0 - 1e-12) < 1e-10
 
     def test_out_of_range(self):
         for tail in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(InvalidArgumentError):
-                chi2_isf_1df(tail)
+                chi2_threshold(tail)
 
     def test_round_trip(self):
         for tail in (0.99, 0.7, 0.5, 0.1, 0.01, 0.001):
-            sf = special.gammaincc(0.5, 0.5 * chi2_isf_1df(tail))
+            sf = special.gammaincc(0.5, 0.5 * chi2_threshold(tail))
             assert sf == pytest.approx(tail, abs=1e-8)
 
     def test_sf_df4_against_quadrature(self):
+        # the Epps-Singleton p-value is the chi-square tail at the statistic
         def chi2_4_pdf(x):
             return 0.25 * x * np.exp(-0.5 * x)
 
-        for x in (0.5, 3.0, 9.488):
-            oracle = 1.0 - quad(chi2_4_pdf, 0.0, x)[0]
-            assert float(chi2_sf(x, 4)) == pytest.approx(oracle, abs=1e-10)
+        rng = np.random.default_rng(10)
+        for p in (0.3, 0.32, 0.36):
+            res = epps_singleton(rng.binomial(20, 0.3, size=500), rng.binomial(20, p, size=400))
+            assert res.df == 4
+            oracle = 1.0 - quad(chi2_4_pdf, 0.0, res.statistic)[0]
+            assert res.p_value == pytest.approx(oracle, abs=1e-10)
 
 
 class TestNormal:
     def test_symmetry(self):
-        assert std_normal_quantile(0.5) == 0.0
+        lo, hi = fisher_interval(1.5, 0.4, [3, 5, 7], beta=0.05)
+        assert hi - 1.5 == pytest.approx(1.5 - lo, rel=1e-12)
 
     @pytest.mark.parametrize("prob,expected", [(0.975, 1.959964), (0.995, 2.575829)])
     def test_matches_quadrature_oracle(self, prob, expected):
         oracle = quadrature_quantile(normal_pdf, prob, -10.0, 10.0)
-        assert std_normal_quantile(prob) == pytest.approx(oracle, abs=1e-8)
-        assert std_normal_quantile(prob) == pytest.approx(expected, abs=1e-6)
+        assert normal_quantile(prob) == pytest.approx(oracle, abs=1e-8)
+        assert normal_quantile(prob) == pytest.approx(expected, abs=1e-6)
 
     def test_round_trip(self):
-        for p in (0.01, 0.25, 0.5, 0.8, 0.999):
-            assert special.ndtr(std_normal_quantile(p)) == pytest.approx(p, abs=1e-8)
+        for p in (0.51, 0.6, 0.8, 0.975, 0.999):
+            assert special.ndtr(normal_quantile(p)) == pytest.approx(p, abs=1e-8)
 
     def test_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
-            std_normal_quantile(1.0)
+            normal_quantile(1.0)
 
 
 class TestEppsSingleton:
