@@ -8,7 +8,6 @@ from .adaptive import (
     abide,
     agride,
     babide,
-    lrt_statistic,
     run_method,
     select_k_star_all,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "counts_within_open_balls",
     "fisher_interval",
     "gride_mle",
-    "lrt_statistic",
     "optimal_tau",
     "run_method",
     "sample_mixture",

@@ -39,8 +39,6 @@ from .estimators import (
 from .geometry import NeighborGraph, counts_within_open_balls
 from .validation import validate_model
 
-_LOG4 = float(np.log(4.0))
-
 K_MIN = 2  # smallest tested neighbourhood; keeps k_B* = k* - 1 >= 1
 
 THRESHOLD_MODES = ("fixed", "bonferroni_h", "bonferroni_n", "bonferroni_nh")
@@ -129,24 +127,6 @@ class AbideResult:
     state: AdaptiveState | None = None
     iterations_run: int | None = None
     converged: bool | None = None
-
-
-def lrt_statistic(d, k, log_r_i_k, log_r_j_k):
-    """Wilks statistic comparing equal vs distinct Poisson intensities at a
-    point and at its (k+1)-th neighbour.
-
-    Ball volumes enter only through d * log r (the unit-ball constant
-    cancels), so the statistic is computed with log-sum-exp and is exactly
-    scale invariant.  The k* selection reads the same test off the
-    rejection onsets and never calls this; it is kept as the reference the
-    tests check the onsets against.
-    """
-    if np.any(np.asarray(d) <= 0):
-        raise InvalidArgumentError("dimension must be positive")
-    x1 = d * np.asarray(log_r_i_k, dtype=np.float64)
-    x2 = d * np.asarray(log_r_j_k, dtype=np.float64)
-    stat = -2.0 * np.asarray(k) * (x1 + x2 - 2.0 * np.logaddexp(x1, x2) + _LOG4)
-    return np.maximum(stat, 0.0)
 
 
 def _require_depth(graph: NeighborGraph, k_max: int) -> None:
@@ -246,7 +226,7 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     del onsets
     state, counts = _assemble_counts(graph, k_star, optimal_tau(d_next), config.k_max)
     estimate = _finish_bide(graph, counts, d_next, config.beta_ci,
-                            _validation_seed(config, config.max_iter), with_validation=True)
+                            _validation_seed(config, config.max_iter))
     return AbideResult(estimate=replace(estimate, trace=trace), state=state,
                        iterations_run=iterations, converged=converged)
 

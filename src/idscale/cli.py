@@ -46,7 +46,8 @@ def load_dataset(path: str, periodic: list[float] | None = None) -> Dataset:
     row is skipped automatically."""
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -142,13 +143,12 @@ def _fail(err: IdscaleError) -> None:
 
 
 def _threads_from(option_value: int | None) -> int:
-    """Replica workers: IDSCALE_THREADS, else --threads, else every core."""
-    value = os.environ.get("IDSCALE_THREADS") or option_value
-    if value is None:
+    """Replica workers: --threads, else every core."""
+    if option_value is None:
         return os.cpu_count() or 1
-    if not str(value).strip().isdecimal() or int(value) < 1:
-        raise InvalidArgumentError(f"thread count must be an integer >= 1, got {value!r}")
-    return int(value)
+    if option_value < 1:
+        raise InvalidArgumentError(f"thread count must be an integer >= 1, got {option_value!r}")
+    return option_value
 
 
 def _build_and_run(method: str, dataset: Dataset, config: adaptive_mod.EstimatorConfig,
@@ -160,7 +160,7 @@ def _build_and_run(method: str, dataset: Dataset, config: adaptive_mod.Estimator
     times.
     """
     t0 = time.perf_counter()
-    dataset, _ = geometry.deduplicate(dataset)
+    dataset = geometry.deduplicate(dataset)
     graph = build_neighbor_graph(dataset, max(
         adaptive_mod.required_depth(method, dataset.n, config), min(depth, dataset.n - 1)
     ))

@@ -49,7 +49,7 @@ def _streams(seed: int):
     return np.random.default_rng(base), np.random.default_rng(noise)
 
 
-def gen_sine_toy(n: int = 1000, sigma_eps: float = 0.025, seed: int = 0) -> Dataset:
+def gen_sine_toy(n: int, sigma_eps: float, seed: int = 0) -> Dataset:
     """Two Gaussian clumps of abscissas pushed through y = sin(x) plus noise.
 
     Half the abscissas come from N(pi/2, 1), half from N(5*pi/3, 0.5^2);
@@ -132,9 +132,7 @@ def sample_moebius_base(n: int, rng: np.random.Generator):
     return u, v, comp
 
 
-def gen_moebius(
-    n: int = 20000, sigma_eps: float = 1e-3, ambient_dim: int = 20, seed: int = 0,
-) -> Dataset:
+def gen_moebius(n: int, sigma_eps: float, ambient_dim: int, seed: int = 0) -> Dataset:
     """Inhomogeneous 2-d sample wrapped on a half-twist strip, zero-padded
     to ``ambient_dim`` coordinates, with iid Gaussian noise on all of them."""
     if ambient_dim < 3:
@@ -178,6 +176,5 @@ def generate(spec: GeneratorSpec) -> Dataset:
         return gen_moebius(spec.n, spec.sigma_eps, spec.ambient_dim, spec.seed)
     if spec.kind == "uniform_hypercube_periodic":
         return gen_uniform_hypercube_periodic(spec.n, spec.d, spec.seed)
-    if spec.kind == "density_step_1d":
-        return gen_density_step_1d(spec.n, spec.ratio, spec.seed)
-    raise InvalidArgumentError(f"unknown generator kind {spec.kind!r}")
+    # density_step_1d: GeneratorSpec admits no other kind
+    return gen_density_step_1d(spec.n, spec.ratio, spec.seed)

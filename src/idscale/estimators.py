@@ -106,8 +106,6 @@ def bide_closed_form(counts: BinomialCounts) -> float:
     sum_b = int(counts.k_b.sum())
     if sum_a == 0:
         raise EstimateUnboundedError("no points in any inner ball; estimate diverges")
-    if sum_a > sum_b:
-        raise InvalidArgumentError("sum of inner counts exceeds sum of outer counts")
     return float(np.log(sum_a / sum_b) / np.log(counts.tau))
 
 
@@ -277,7 +275,6 @@ def bide_fixed_radius(
     tau: float,
     beta: float = BETA_CI,
     seed: int = 0,
-    with_validation: bool = True,
 ) -> IdEstimate:
     """Binomial estimator at a fixed outer radius t_b (inner radius tau * t_b).
 
@@ -296,7 +293,7 @@ def bide_fixed_radius(
     k_a = counts_within_open_balls(graph, tau * radii)
     counts = BinomialCounts(k_a=k_a, k_b=k_b, tau=tau)
     d_hat = bide_closed_form(counts)
-    return _finish_bide(graph, counts, d_hat, beta, seed, with_validation)
+    return _finish_bide(graph, counts, d_hat, beta, seed)
 
 
 def bide_fixed_k(
@@ -305,7 +302,6 @@ def bide_fixed_k(
     tau: float,
     beta: float = BETA_CI,
     seed: int = 0,
-    with_validation: bool = True,
 ) -> IdEstimate:
     """Binomial estimator with the outer ball at each point's k-th neighbour.
 
@@ -325,15 +321,12 @@ def bide_fixed_k(
     k_a = counts_within_open_balls(graph, tau * t_b)
     counts = BinomialCounts(k_a=k_a, k_b=k_b, tau=tau)
     d_hat = bide_closed_form(counts)
-    return _finish_bide(graph, counts, d_hat, beta, seed, with_validation)
+    return _finish_bide(graph, counts, d_hat, beta, seed)
 
 
-def _finish_bide(graph, counts, d_hat, beta, seed, with_validation):
+def _finish_bide(graph, counts, d_hat, beta, seed):
     info, ci = shared_pair_fisher(graph, counts, d_hat, beta)
-    p_val = None
-    if with_validation:
-        report = validate_model(counts.k_a, counts.k_b, d_hat, counts.tau, seed=seed)
-        p_val = report.p_value
+    p_val = validate_model(counts.k_a, counts.k_b, d_hat, counts.tau, seed=seed).p_value
     return IdEstimate(
         d=d_hat,
         tau=counts.tau,
@@ -365,25 +358,6 @@ def beta_posterior(counts: BinomialCounts, alpha0: float = BETA_PRIOR, beta0: fl
         mean=float(mean), variance=float(variance),
         alpha_star=float(alpha_star), beta_star=float(beta_star),
     )
-
-
-def gride_log_likelihood(mu, d, n1, n2):
-    """Log-likelihood of distance ratios mu = r_{n2}/r_{n1} at dimension d
-    (additive Beta-function constant dropped).
-
-    The estimators find the maximum as a root of the score and never call
-    this; it is kept as the reference the tests check the maximizer against.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    n1 = np.asarray(n1, dtype=np.float64)
-    n2 = np.asarray(n2, dtype=np.float64)
-    log_mu = np.log(mu)
-    x = d * log_mu
-    # log(mu^d - 1) without overflow
-    log_pow_m1 = np.where(x > 30.0, x + np.log1p(-np.exp(-np.minimum(x, 700.0))),
-                          np.log(np.expm1(np.minimum(x, 30.0))))
-    terms = np.log(d) + (n2 - n1 - 1.0) * log_pow_m1 - (d * (n2 - 1.0) + 1.0) * log_mu
-    return float(terms.sum())
 
 
 def _gride_score(mu, d, n1, n2):

@@ -98,7 +98,6 @@ class NeighborGraph:
     distances: np.ndarray
     indices: np.ndarray
     dataset: Dataset
-    duplicates_removed: int = 0
 
     @property
     def n_points(self) -> int:
@@ -128,14 +127,14 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray, periods: np.ndarray | None)
     return np.sqrt(d2, out=d2)
 
 
-def deduplicate(dataset: Dataset) -> tuple[Dataset, int]:
+def deduplicate(dataset: Dataset) -> Dataset:
     """Drop exact duplicate points, keeping the first occurrence of each.
 
     The result is marked as free of duplicates, so that the pass
     ``build_neighbor_graph`` makes over it again costs nothing.
     """
     if dataset.__dict__.get("_distinct"):
-        return dataset, 0
+        return dataset
     _, first = np.unique(dataset.points, axis=0, return_index=True)
     if first.size < 2:
         raise DegenerateDatasetError("all points are identical")
@@ -145,7 +144,7 @@ def deduplicate(dataset: Dataset) -> tuple[Dataset, int]:
     # a copy carries the mark, so the caller's dataset object is left as it was
     out = Dataset(dataset.points[np.sort(first)], dataset.periods) if removed else copy.copy(dataset)
     object.__setattr__(out, "_distinct", True)
-    return out, removed
+    return out
 
 
 def build_neighbor_graph(dataset: Dataset, K: int) -> NeighborGraph:
@@ -156,7 +155,7 @@ def build_neighbor_graph(dataset: Dataset, K: int) -> NeighborGraph:
     """
     if K < 1:
         raise InvalidArgumentError(f"K must be >= 1, got {K}")
-    dataset, removed = deduplicate(dataset)
+    dataset = deduplicate(dataset)
     n = dataset.n
     if K > n - 1:
         raise InvalidArgumentError(f"K={K} exceeds n-1={n - 1} after duplicate removal")
@@ -173,7 +172,7 @@ def build_neighbor_graph(dataset: Dataset, K: int) -> NeighborGraph:
         _k_smallest(block, idx[start:stop], dist[start:stop])
         # free this block before the next one is computed
         del block
-    return NeighborGraph(distances=dist, indices=idx, dataset=dataset, duplicates_removed=removed)
+    return NeighborGraph(distances=dist, indices=idx, dataset=dataset)
 
 
 def _k_smallest(block: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> None:

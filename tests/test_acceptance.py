@@ -53,7 +53,7 @@ def hypercube5_abide(hypercube5_graph):
 
 def test_criterion_01_sine_toy_trajectory():
     t0 = time.perf_counter()
-    ds = gen_sine_toy(n=1000, seed=0)
+    ds = gen_sine_toy(n=1000, sigma_eps=0.025, seed=0)
     graph = build_neighbor_graph(ds, K=351)
     res = abide(graph, EstimatorConfig(delta=1e-4, max_iter=5))
     elapsed = time.perf_counter() - t0
@@ -190,8 +190,8 @@ def test_criterion_06d_scale_and_permutation_invariance():
     def run_all(g, scale):
         return {
             "twonn": twonn_estimate(g).d,
-            "bide_r": bide_fixed_radius(g, 0.35 * scale, 0.5, with_validation=False).d,
-            "bide_k": bide_fixed_k(g, 20, 0.5, with_validation=False).d,
+            "bide_r": bide_fixed_radius(g, 0.35 * scale, 0.5).d,
+            "bide_k": bide_fixed_k(g, 20, 0.5).d,
             "gride": gride_mle(g, 2, 4).d,
             "abide": abide(g, cfg).estimate.d,
             "agride": agride(g, cfg).estimate.d,

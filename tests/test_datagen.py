@@ -1,9 +1,13 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from idscale import datagen
 from idscale.datagen import (
+    GENERATOR_KINDS,
     MOEBIUS_BLOBS,
     GeneratorSpec,
     gen_density_step_1d,
@@ -32,14 +36,14 @@ class TestDeterminism:
         assert np.array_equal(a.points, b.points)
 
     def test_different_seeds_differ(self):
-        a = gen_sine_toy(n=100, seed=0)
-        b = gen_sine_toy(n=100, seed=1)
+        a = gen_sine_toy(n=100, sigma_eps=0.025, seed=0)
+        b = gen_sine_toy(n=100, sigma_eps=0.025, seed=1)
         assert not np.array_equal(a.points, b.points)
 
 
 class TestSineToy:
     def test_shape_and_first_half_mean(self):
-        ds = gen_sine_toy(n=1000, seed=0)
+        ds = gen_sine_toy(n=1000, sigma_eps=0.025, seed=0)
         assert ds.points.shape == (1000, 2)
         # first clump of abscissas is centred at pi/2
         assert ds.points[:500, 0].mean() == pytest.approx(np.pi / 2, abs=0.15)
@@ -110,7 +114,7 @@ class TestMoebius:
 
     def test_ambient_too_small(self):
         with pytest.raises(InvalidArgumentError):
-            gen_moebius(n=100, ambient_dim=2)
+            gen_moebius(n=100, sigma_eps=1e-3, ambient_dim=2)
 
 
 class TestHypercube:
@@ -160,3 +164,12 @@ class TestGeneratorSpec:
     def test_negative_scale(self):
         with pytest.raises(InvalidArgumentError):
             GeneratorSpec(kind="sine_toy", n=100, sigma_eps=-0.1)
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_generator_defaults_are_the_spec_defaults(self, kind):
+        # a default of its own would let gen_<kind> and the CLI's spec disagree
+        spec = {f.name: f.default for f in dataclasses.fields(GeneratorSpec)}
+        params = inspect.signature(getattr(datagen, "gen_" + kind)).parameters.values()
+        for param in params:
+            if param.default is not inspect.Parameter.empty:
+                assert param.default == spec[param.name], param.name

@@ -23,7 +23,6 @@ from idscale.estimators import (
     bide_fixed_radius,
     fisher_information,
     fisher_interval,
-    gride_log_likelihood,
     gride_mle,
     gride_mle_from_ratios,
     optimal_tau,
@@ -33,6 +32,25 @@ from idscale.estimators import (
     twonn_estimate,
 )
 from idscale.geometry import Dataset, NeighborGraph, build_neighbor_graph, counts_within_open_balls
+
+
+def gride_log_likelihood(mu, d, n1, n2):
+    """Log-likelihood of distance ratios mu = r_{n2}/r_{n1} at dimension d
+    (additive Beta-function constant dropped).
+
+    The estimators find the maximum as a root of the score and never call
+    this; it is kept as the reference the tests check the maximizer against.
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    n1 = np.asarray(n1, dtype=np.float64)
+    n2 = np.asarray(n2, dtype=np.float64)
+    log_mu = np.log(mu)
+    x = d * log_mu
+    # log(mu^d - 1) without overflow
+    log_pow_m1 = np.where(x > 30.0, x + np.log1p(-np.exp(-np.minimum(x, 700.0))),
+                          np.log(np.expm1(np.minimum(x, 30.0))))
+    terms = np.log(d) + (n2 - n1 - 1.0) * log_pow_m1 - (d * (n2 - 1.0) + 1.0) * log_mu
+    return float(terms.sum())
 
 
 def graph_from_distances(rows):
@@ -160,7 +178,7 @@ class TestBideFixedRadius:
         pts = np.arange(1001, dtype=np.float64)[:, None]
         g = build_neighbor_graph(Dataset(pts), K=25)
         t_b, tau = 10.5, 0.5
-        est = bide_fixed_radius(g, t_b, tau, with_validation=False)
+        est = bide_fixed_radius(g, t_b, tau)
 
         # independent oracle: exhaustive per-point interval counting
         sum_b = sum(
@@ -201,8 +219,8 @@ class TestBideFixedK:
         pts = rng.normal(size=(400, 2))
         g1 = build_neighbor_graph(Dataset(pts), K=31)
         g2 = build_neighbor_graph(Dataset(7.0 * pts), K=31)
-        e1 = bide_fixed_k(g1, 30, 0.5, with_validation=False)
-        e2 = bide_fixed_k(g2, 30, 0.5, with_validation=False)
+        e1 = bide_fixed_k(g1, 30, 0.5)
+        e2 = bide_fixed_k(g2, 30, 0.5)
         assert e1.d == e2.d
 
     def test_twonn_equivalence_at_special_tau(self):
@@ -351,7 +369,7 @@ class TestPairOverlap:
         rng = np.random.default_rng(15)
         g = build_neighbor_graph(Dataset(rng.normal(size=(400, 3))), K=60)
         t_b, tau = 0.6, 0.5
-        est = bide_fixed_radius(g, t_b, tau, with_validation=False)
+        est = bide_fixed_radius(g, t_b, tau)
         radii = np.full(g.n_points, t_b)
         k_b = counts_within_open_balls(g, radii)
         k_a = counts_within_open_balls(g, tau * radii)
@@ -387,7 +405,7 @@ class TestPairOverlap:
         rng = np.random.default_rng(17)
         g = build_neighbor_graph(Dataset(rng.normal(size=(300, 2))), K=31)
         if method == "bide_k":
-            est = bide_fixed_k(g, 20, 0.5, with_validation=False)
+            est = bide_fixed_k(g, 20, 0.5)
             counts = BinomialCounts(
                 k_a=counts_within_open_balls(g, 0.5 * g.distances[:, 19]),
                 k_b=np.full(g.n_points, 19), tau=0.5,
@@ -413,8 +431,8 @@ class TestInvariances:
         g2 = build_neighbor_graph(Dataset(pts[perm]), K=31)
         assert twonn_estimate(g1).d == twonn_estimate(g2).d
         assert gride_mle(g1, 1, 3).d == gride_mle(g2, 1, 3).d
-        e1 = bide_fixed_k(g1, 20, 0.5, with_validation=False)
-        e2 = bide_fixed_k(g2, 20, 0.5, with_validation=False)
+        e1 = bide_fixed_k(g1, 20, 0.5)
+        e2 = bide_fixed_k(g2, 20, 0.5)
         assert e1.d == e2.d and e1.ci == e2.ci
 
     def test_scaling_near_exact(self):

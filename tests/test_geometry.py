@@ -74,7 +74,7 @@ class TestDataset:
         ds = Dataset(pts, periods=np.ones(2))
         assert ds.points.max() < 1.0
         assert np.array_equal(ds.points[0], ds.points[1])
-        distinct, _ = geometry.deduplicate(ds)
+        distinct = geometry.deduplicate(ds)
         assert distinct.n == 299
         assert np.isfinite(twonn_estimate(build_neighbor_graph(distinct, 2)).d)
 
@@ -121,10 +121,11 @@ class TestBuildNeighborGraph:
         with pytest.raises(DegenerateDatasetError):
             build_neighbor_graph(Dataset(np.ones((4, 2))), K=1)
 
-    def test_duplicates_removed(self):
+    def test_duplicates_removed(self, caplog):
         pts = np.array([[0.0], [0.0], [1.0], [2.0]])
-        g = build_neighbor_graph(Dataset(pts), K=2)
-        assert g.duplicates_removed == 1
+        with caplog.at_level("INFO", logger="idscale.geometry"):
+            g = build_neighbor_graph(Dataset(pts), K=2)
+        assert "removed 1 duplicate points" in caplog.text
         assert g.n_points == 3
         assert np.all(g.distances[:, 0] > 0)
 
