@@ -1,7 +1,6 @@
-"""The special functions behind the library's numbers, tested at the call
-sites that use them: the Epps-Singleton test of ``idscale.validation``,
-the chi-square(1) rejection threshold of ``EstimatorConfig`` and the
-standard normal quantile behind ``fisher_interval``."""
+"""The Epps-Singleton test of ``idscale.validation`` against its
+references: scipy's ``epps_singleton_2samp`` and a projected per-draw
+statistic where the covariance is rank-deficient."""
 
 import warnings
 
@@ -9,177 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import special
-from scipy.integrate import quad
 from scipy.stats import chi2, epps_singleton_2samp
 
-from idscale.adaptive import EstimatorConfig
-from idscale.errors import DegenerateSampleError, InvalidArgumentError
-from idscale.estimators import fisher_interval
+from idscale.errors import DegenerateSampleError
 from idscale.validation import _histogram, _pooled_semi_iqr, epps_singleton
-
-
-def quadrature_quantile(pdf, prob, lo, hi, tol=1e-12):
-    """Independent quantile oracle: bisection on a quadrature CDF."""
-    def cdf(x):
-        return quad(pdf, 0.0 if lo == 0.0 else -np.inf, x, limit=200)[0]
-
-    a, b = lo + tol, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if cdf(mid) < prob:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def chi2_1_pdf(x):
-    return np.exp(-0.5 * x) / np.sqrt(2 * np.pi * x)
-
-
-def normal_pdf(x):
-    return np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
-
-
-def chi2_threshold(tail):
-    """The fixed-mode rejection threshold at level ``tail``: the chi-square(1)
-    quantile with upper tail ``tail``."""
-    return EstimatorConfig(alpha=tail).rejection_threshold(1000)
-
-
-def normal_quantile(prob):
-    """The standard normal quantile at ``prob``, read off the half-width of
-    ``fisher_interval`` at level 1 - beta = 2 prob - 1.  At d = 1, tau = 1/2
-    and one outer count the information is (log 2)^2, so the half-width is
-    the quantile over log 2."""
-    lo, hi = fisher_interval(1.0, 0.5, [1], beta=2.0 * (1.0 - prob))
-    return 0.5 * (hi - lo) * np.log(2.0)
-
-
-class TestChi2:
-    def test_threshold_at_one_percent(self):
-        assert chi2_threshold(0.01) == pytest.approx(6.635, abs=1e-3)
-
-    def test_median_matches_quadrature_oracle(self):
-        oracle = quadrature_quantile(chi2_1_pdf, 0.5, 0.0, 10.0)
-        assert chi2_threshold(0.5) == pytest.approx(oracle, abs=1e-8)
-        assert chi2_threshold(0.5) == pytest.approx(0.4549, abs=1e-4)
-
-    def test_small_prob_limit(self):
-        # a lower-tail probability of 1e-12
-        assert chi2_threshold(1.0 - 1e-12) < 1e-10
-
-    def test_out_of_range(self):
-        for tail in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(InvalidArgumentError):
-                chi2_threshold(tail)
-
-    def test_round_trip(self):
-        for tail in (0.99, 0.7, 0.5, 0.1, 0.01, 0.001):
-            sf = special.gammaincc(0.5, 0.5 * chi2_threshold(tail))
-            assert sf == pytest.approx(tail, abs=1e-8)
-
-    def test_sf_df4_against_quadrature(self):
-        # the Epps-Singleton p-value is the chi-square tail at the statistic
-        def chi2_4_pdf(x):
-            return 0.25 * x * np.exp(-0.5 * x)
-
-        rng = np.random.default_rng(10)
-        for p in (0.3, 0.32, 0.36):
-            res = epps_singleton(rng.binomial(20, 0.3, size=500), rng.binomial(20, p, size=400))
-            assert res.df == 4
-            oracle = 1.0 - quad(chi2_4_pdf, 0.0, res.statistic)[0]
-            assert res.p_value == pytest.approx(oracle, abs=1e-10)
-
-
-class TestNormal:
-    def test_symmetry(self):
-        lo, hi = fisher_interval(1.5, 0.4, [3, 5, 7], beta=0.05)
-        assert hi - 1.5 == pytest.approx(1.5 - lo, rel=1e-12)
-
-    @pytest.mark.parametrize("prob,expected", [(0.975, 1.959964), (0.995, 2.575829)])
-    def test_matches_quadrature_oracle(self, prob, expected):
-        oracle = quadrature_quantile(normal_pdf, prob, -10.0, 10.0)
-        assert normal_quantile(prob) == pytest.approx(oracle, abs=1e-8)
-        assert normal_quantile(prob) == pytest.approx(expected, abs=1e-6)
-
-    def test_round_trip(self):
-        for p in (0.51, 0.6, 0.8, 0.975, 0.999):
-            assert special.ndtr(normal_quantile(p)) == pytest.approx(p, abs=1e-8)
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            normal_quantile(1.0)
-
-
-class TestEppsSingleton:
-    def test_identical_samples(self):
-        a = np.array([1, 2, 2, 3, 5, 8, 9, 9])
-        res = epps_singleton(a, a.copy())
-        assert res.statistic == pytest.approx(0.0, abs=1e-12)
-        assert res.p_value == pytest.approx(1.0, abs=1e-12)
-        assert res.df == 4
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(1)
-        a = rng.binomial(20, 0.3, size=400)
-        b = rng.binomial(20, 0.35, size=300)
-        r1 = epps_singleton(a, b)
-        r2 = epps_singleton(b, a)
-        assert r1.statistic == pytest.approx(r2.statistic, rel=1e-10)
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(2)
-        a = rng.binomial(30, 0.4, size=500).astype(float)
-        b = rng.binomial(30, 0.45, size=500).astype(float)
-        base = epps_singleton(a, b)
-        shifted = epps_singleton(a + 1000.0, b + 1000.0)
-        assert shifted.statistic == pytest.approx(base.statistic, rel=1e-6)
-
-    def test_degenerate_sample(self):
-        with pytest.raises(DegenerateSampleError):
-            epps_singleton(np.full(40, 3.0), np.full(40, 3.0))
-
-    def test_calibration_under_the_null(self):
-        # same Binomial(20, 0.2) law for both samples: the level-0.05
-        # rejection rate over 200 replicas should be near nominal
-        rng = np.random.default_rng(3)
-        rejections = 0
-        for _ in range(200):
-            a = rng.binomial(20, 0.2, size=5000)
-            b = rng.binomial(20, 0.2, size=5000)
-            if epps_singleton(a, b).p_value < 0.05:
-                rejections += 1
-        assert 0.02 <= rejections / 200 <= 0.09
-
-    def test_separation_of_distinct_laws(self):
-        rng = np.random.default_rng(4)
-        a = rng.binomial(20, 0.2, size=5000)
-        b = rng.binomial(20, 0.5, size=5000)
-        assert epps_singleton(a, b).p_value < 1e-6
-
-    def test_small_sample_correction_shrinks_statistic(self):
-        rng = np.random.default_rng(5)
-        a = rng.binomial(20, 0.2, size=20)
-        b = rng.binomial(20, 0.5, size=2000)
-        res = epps_singleton(a, b)
-        assert res.statistic >= 0.0
-        assert 0.0 <= res.p_value <= 1.0
-
-    def test_empty_sample(self):
-        with pytest.raises(InvalidArgumentError):
-            epps_singleton(np.array([]), np.array([1.0]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_sample(self, bad):
-        a = np.random.default_rng(6).binomial(20, 0.3, size=50).astype(float)
-        a[17] = bad
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            epps_singleton(a, np.arange(50.0))
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            epps_singleton(np.arange(50.0), a)
-
 
 def _oracle_cases():
     rng = np.random.default_rng(7)
