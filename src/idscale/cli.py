@@ -188,13 +188,16 @@ def _parse_periodic(text):
 
 
 class _Group(click.Group):
-    """Ends any command's ``IdscaleError`` in its JSON error and exit code."""
+    """Ends any command's ``IdscaleError`` in its JSON error and exit code,
+    and a value or flag that click rejects as ``invalid-argument``."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except IdscaleError as err:
             _fail(err)
+        except click.UsageError as err:
+            _fail(InvalidArgumentError(err.format_message()))
 
 
 @click.group(cls=_Group)

@@ -266,7 +266,9 @@ class TestScanCommand:
         path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n")
         result = invoke(runner, ["scan", "--mode", "k", "--input", path, option, "3"])
         assert result.exit_code == 2
-        assert "No such option" in result.output + getattr(result, "stderr", "")
+        err = error_json(result)
+        assert err["error"] == "invalid-argument"
+        assert f"No such option '{option}'" in err["message"]
 
 
 class TestBenchmarkCommand:
@@ -457,6 +459,39 @@ class TestOptionsCheckedBeforeGraph:
         ] + args)
         assert result.exit_code == 2
         assert error_json(result)["error"] == "invalid-argument"
+
+
+class TestUsageErrors:
+    """A value, flag or command that click itself rejects ends in the same
+    JSON error as any other bad argument: ``invalid-argument``, exit 2."""
+
+    @pytest.mark.parametrize("args, names", [
+        (["benchmark", "--generator", "noisy_gaussian", "--n", "300", "--d", "2",
+          "--ambient-dim", "10", "--method", "abide", "--threads", "1.5"], "--threads"),
+        (["estimate", "--method", "abide", "--alpha", "abc"], "--alpha"),
+        (["estimate", "--method", "nope"], "--method"),
+        (["estimate", "--method", "twonn", "--input", "no/such/file.csv"], "--input"),
+        (["estimate"], "--method"),
+        (["nosuch"], "nosuch"),
+    ], ids=["threads 1.5", "alpha abc", "unknown method", "missing input file",
+            "missing method", "unknown command"])
+    def test_ends_in_json(self, runner, tmp_path, args, names):
+        path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n1,1\n")
+        if args[0] == "estimate" and "--input" not in args:
+            args = args + ["--input", path]
+        result = invoke(runner, args)
+        assert result.exit_code == 2
+        err = error_json(result)
+        assert err["error"] == "invalid-argument"
+        assert names in err["message"]
+
+    @pytest.mark.parametrize("command", [
+        [], ["estimate"], ["scan"], ["benchmark"], ["generate"], ["fetch-optdigits"],
+    ], ids=lambda v: " ".join(v) or "main")
+    def test_help_exits_zero(self, runner, command):
+        result = invoke(runner, command + ["--help"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage:")
 
 
 class TestGenerateCommand:

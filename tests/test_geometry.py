@@ -209,6 +209,22 @@ class TestNeighborSelection:
         assert np.all(np.diff(g.distances, axis=1) >= 0)
 
     @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("K", [17, 100, 299])
+    def test_continuous_cloud_bit_exact(self, periodic, K):
+        # n = 300 spans several blocks of the default size; the all-pairs
+        # rows come from the same distance function, so the graph must
+        # equal their full stable sort to the bit, indices and distances
+        rng = np.random.default_rng(21)
+        ds = Dataset(rng.uniform(size=(300, 3)), np.ones(3) if periodic else None)
+        assert ds.n > 2 * geometry._BLOCK_ROWS
+        g = build_neighbor_graph(ds, K=K)
+        full = pairwise_distances(ds.points, ds.points, ds.periods)
+        np.fill_diagonal(full, np.inf)
+        order = np.argsort(full, axis=1, kind="stable")[:, :K]
+        assert np.array_equal(g.indices, order)
+        assert np.array_equal(g.distances, np.take_along_axis(full, order, axis=1))
+
+    @pytest.mark.parametrize("periodic", [False, True])
     def test_full_depth_never_keeps_self(self, periodic):
         rng = np.random.default_rng(8)
         for ds in (integer_lattice(6, 2, periodic),
