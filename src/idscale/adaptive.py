@@ -41,6 +41,9 @@ from .validation import validate_model
 
 K_MIN = 2  # smallest tested neighbourhood; keeps k_B* = k* - 1 >= 1
 
+# rows per block of the onset build: 0.36 MB of gathered radii at k_max = 350
+_ONSET_ROWS = 128
+
 THRESHOLD_MODES = ("fixed", "bonferroni_h", "bonferroni_n", "bonferroni_nh")
 
 METHODS = ("twonn", "bide-r", "bide-k", "abide", "agride", "babide")
@@ -153,16 +156,21 @@ def _rejection_onsets(graph: NeighborGraph, config: EstimatorConfig) -> np.ndarr
     t = config.rejection_threshold(graph.n_points) / (4.0 * ks)
     # arccosh(e^t) = t + log1p(sqrt(1 - e^-2t)): no cancellation, no overflow
     u = 2.0 * (t + np.log1p(np.sqrt(-np.expm1(-2.0 * t))))
-    onsets = np.log(graph.distances[:, K_MIN - 1 : k_max])
-    # j = index of i's (k+1)-th NN; its own k-th NN distance closes the test
-    log_r_j = graph.distances[graph.indices[:, K_MIN : k_max + 1], ks - 1]
-    onsets -= np.log(log_r_j, out=log_r_j)
-    np.abs(onsets, out=onsets)
-    # two zero radii leave a NaN gap, whose statistic is NaN and never rejects
-    np.fmax(onsets, 0.0, out=onsets)
-    with np.errstate(divide="ignore"):
-        np.divide(u, onsets, out=onsets)
-    return np.minimum.accumulate(onsets, axis=1, out=onsets)
+    onsets = np.empty((graph.n_points, ks.size))
+    # in row blocks, so the gather below is never an n-row temporary
+    for start in range(0, graph.n_points, _ONSET_ROWS):
+        rows = slice(start, start + _ONSET_ROWS)
+        block = np.log(graph.distances[rows, K_MIN - 1 : k_max], out=onsets[rows])
+        # j = index of i's (k+1)-th NN; its own k-th NN distance closes the test
+        log_r_j = graph.distances[graph.indices[rows, K_MIN : k_max + 1], ks - 1]
+        block -= np.log(log_r_j, out=log_r_j)
+        np.abs(block, out=block)
+        # two zero radii leave a NaN gap, whose statistic is NaN and never rejects
+        np.fmax(block, 0.0, out=block)
+        with np.errstate(divide="ignore"):
+            np.divide(u, block, out=block)
+        np.minimum.accumulate(block, axis=1, out=block)
+    return onsets
 
 
 def _k_star_from_onsets(onsets: np.ndarray, d: float, k_max: int) -> np.ndarray:

@@ -189,7 +189,8 @@ def _parse_periodic(text):
 
 class _Group(click.Group):
     """Ends any command's ``IdscaleError`` in its JSON error and exit code,
-    and a value or flag that click rejects as ``invalid-argument``."""
+    and a value, flag or missing command that click rejects as
+    ``invalid-argument``."""
 
     def invoke(self, ctx):
         try:
@@ -200,7 +201,8 @@ class _Group(click.Group):
             _fail(InvalidArgumentError(err.format_message()))
 
 
-@click.group(cls=_Group)
+# without a command click would print the help during parsing, before invoke
+@click.group(cls=_Group, no_args_is_help=False)
 def main():
     """Scale-adaptive intrinsic dimension estimation."""
 

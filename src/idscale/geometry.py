@@ -10,8 +10,11 @@ points lose their distances.  Graph construction is exact brute force,
 O(D n^2), over fixed blocks of 32 rows: each block keeps its K smallest
 entries per row by partition and sorts only those, with ties between
 equidistant neighbours broken by the smaller point index so results are
-reproducible.  A row with two equal kept distances, or whose K-th distance
-equals its (K+1)-th, falls back to a full stable sort.
+reproducible.  The selection partitions and sorts one uint64 key per
+entry: the distance's bits with the low ceil(log2 n) bits replaced by the
+column, which orders like (distance, column) wherever two distances differ
+above those bits.  A row in which two of its first K+1 keys agree above
+them (an exact or near tie) falls back to a full stable sort.
 """
 
 from __future__ import annotations
@@ -183,24 +186,32 @@ def _k_smallest(block: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> None:
 
     Equal to the first K columns of a stable ``argsort`` of each row: among
     equal values the smaller column index comes first.  Needs ``K`` below
-    the row length.  The partition's K kept values are ordered by numpy's
-    default sort, which is exact where no two of them are equal and the
-    (K+1)-th value lies strictly above them; any other row is redone with
-    the full stable sort.  The outputs double as work space, so that no
-    n-wide temporary outlives the partition.
+    the row length n and entries that are non-negative doubles or ``+inf``.
+
+    Each entry becomes one ``uint64`` key, its bit pattern with the low
+    ``b = (n - 1).bit_length()`` bits replaced by its column, so that the
+    selection moves values only: a partition at K, a sort of the K kept
+    keys, the column as the key's low bits and the value as one gather.
+    Such doubles order like their bit patterns, so key order is (value,
+    column) order except between two values that agree above the low b
+    bits, and those sit next to each other in key order.  A row is
+    therefore exact unless two adjacent keys among its first K+1 agree
+    above the low b bits, which covers ties inside the kept K and at the
+    K-th/(K+1)-th boundary; such rows are redone with the full stable sort.
     """
     K = idx.shape[1]
-    part = np.argpartition(block, K, axis=1)
-    idx[:] = part[:, :K]
-    following = block[np.arange(block.shape[0]), part[:, K]]
-    del part
-    dist[:] = np.take_along_axis(block, idx, axis=1)
-    order = np.argsort(dist, axis=1)
-    idx[:] = np.take_along_axis(idx, order, axis=1)
-    dist[:] = np.take_along_axis(dist, order, axis=1)
-    # equal kept values may sit in either order, and an entry left outside
-    # the partition that equals the K-th value may have a smaller index
-    tied = np.any(dist[:, 1:] == dist[:, :-1], axis=1) | (following == dist[:, -1])
+    low = np.uint64((1 << (block.shape[1] - 1).bit_length()) - 1)
+    keys = block.view(np.uint64) & ~low
+    keys |= np.arange(block.shape[1], dtype=np.uint64)
+    keys.partition(K, axis=1)
+    kept = keys[:, : K + 1]
+    kept[:, :K].sort(axis=1)
+    idx[:] = kept[:, :K] & low
+    # one gather by flat position; every position is in range, and "clip"
+    # writes straight into dist, where the default mode fills a buffer first
+    flat = idx + block.shape[1] * np.arange(len(block))[:, None]
+    block.take(flat, out=dist, mode="clip")
+    tied = np.any((kept[:, 1:] ^ kept[:, :-1]) <= low, axis=1)
     if np.any(tied):
         rows = block[tied]
         full = np.argsort(rows, axis=1, kind="stable")[:, :K]

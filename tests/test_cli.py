@@ -473,11 +473,12 @@ class TestUsageErrors:
         (["estimate", "--method", "twonn", "--input", "no/such/file.csv"], "--input"),
         (["estimate"], "--method"),
         (["nosuch"], "nosuch"),
+        ([], "Missing command"),
     ], ids=["threads 1.5", "alpha abc", "unknown method", "missing input file",
-            "missing method", "unknown command"])
+            "missing method", "unknown command", "no command"])
     def test_ends_in_json(self, runner, tmp_path, args, names):
         path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n1,1\n")
-        if args[0] == "estimate" and "--input" not in args:
+        if args[:1] == ["estimate"] and "--input" not in args:
             args = args + ["--input", path]
         result = invoke(runner, args)
         assert result.exit_code == 2

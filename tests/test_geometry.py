@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from idscale import geometry
+from idscale import datagen, geometry
 from idscale.errors import (
     DegenerateDatasetError,
     InsufficientGraphDepthError,
@@ -40,6 +40,26 @@ def stable_sort_oracle(graph, K):
     np.fill_diagonal(full, np.inf)
     order = np.argsort(full, axis=1, kind="stable")[:, :K]
     return order, np.take_along_axis(full, order, axis=1)
+
+
+def rows_stable_sort(ds, K):
+    """The first K columns of a full stable sort of the all-pairs rows from
+    ``pairwise_distances``, self excluded, and their distances."""
+    full = pairwise_distances(ds.points, ds.points, ds.periods)
+    np.fill_diagonal(full, np.inf)
+    order = np.argsort(full, axis=1, kind="stable")[:, :K]
+    return order, np.take_along_axis(full, order, axis=1)
+
+
+def assert_graph_is_stable_sort(ds, K):
+    g = build_neighbor_graph(ds, K=K)
+    order, dist = rows_stable_sort(ds, K)
+    assert np.array_equal(g.indices, order)
+    assert np.array_equal(g.distances, dist)
+
+
+def with_metric(pts, periodic, period=100.0):
+    return Dataset(pts, np.full(pts.shape[1], period) if periodic else None)
 
 
 def build_in_blocks(ds, K, rows):
@@ -217,12 +237,55 @@ class TestNeighborSelection:
         rng = np.random.default_rng(21)
         ds = Dataset(rng.uniform(size=(300, 3)), np.ones(3) if periodic else None)
         assert ds.n > 2 * geometry._BLOCK_ROWS
-        g = build_neighbor_graph(ds, K=K)
-        full = pairwise_distances(ds.points, ds.points, ds.periods)
-        np.fill_diagonal(full, np.inf)
-        order = np.argsort(full, axis=1, kind="stable")[:, :K]
-        assert np.array_equal(g.indices, order)
-        assert np.array_equal(g.distances, np.take_along_axis(full, order, axis=1))
+        assert_graph_is_stable_sort(ds, K)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("ulps", [1, 4])
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_near_ties_favour_the_smaller_index(self, periodic, ulps, K):
+        # point 1 lies a few ulps farther from point 0 than point 2 does, so
+        # both distances agree above the 3 column bits of n = 5 and the
+        # smaller column must not win; K = 1 puts the pair on the K/(K+1)
+        # boundary, K = 2 and K = 4 = n - 1 keep both
+        pts = np.array([[0.0], [1.0 + ulps * 2.0**-52], [1.0], [5.0], [9.0]])
+        ds = with_metric(pts, periodic)
+        d = pairwise_distances(ds.points[:1], ds.points[1:3], ds.periods)[0]
+        high = d.view(np.uint64) >> np.uint64(3)
+        assert d[0] > d[1] and high[0] == high[1]
+        assert_graph_is_stable_sort(ds, K)
+        assert build_neighbor_graph(ds, K=K).indices[0, 0] == 2
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_column_field_width(self, periodic, n):
+        # n - 1 fills the 6 column bits at n = 64 and needs a 7th at n = 65
+        rng = np.random.default_rng(n)
+        ds = with_metric(rng.uniform(size=(n, 2)), periodic, period=1.0)
+        for K in (1, n // 2, n - 1):
+            assert_graph_is_stable_sort(ds, K)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_distances_that_underflow_to_zero(self, periodic, K):
+        # (1e-170)^2 underflows, so distinct points sit at distance 0
+        pts = np.array([[0.0], [1e-170], [2e-170], [1.0], [2.5]])
+        ds = with_metric(pts, periodic, period=10.0)
+        assert geometry.deduplicate(ds).n == 5
+        assert pairwise_distances(ds.points[:1], ds.points[1:3], ds.periods).max() == 0.0
+        assert_graph_is_stable_sort(ds, K)
+
+    @pytest.mark.parametrize("spec", [
+        datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=400, d=5),
+        datagen.GeneratorSpec(kind="moebius", n=400, ambient_dim=20, sigma_eps=1e-3),
+        datagen.GeneratorSpec(kind="noisy_gaussian", n=400, d=2, ambient_dim=20, sigma_eps=1e-3),
+    ], ids=lambda spec: spec.kind)
+    def test_continuous_data_takes_no_fallback(self, spec):
+        # the full stable sort is only for exact and near ties; the
+        # benchmark's kinds of data should never need it
+        ds = geometry.deduplicate(datagen.generate(spec))
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            build_neighbor_graph(ds, K=351)
+        assert not [c for c in spy.call_args_list if c.kwargs.get("kind") == "stable"]
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_full_depth_never_keeps_self(self, periodic):

@@ -1,6 +1,8 @@
 """The Epps-Singleton test of ``idscale.validation`` against its
 references: scipy's ``epps_singleton_2samp`` and a projected per-draw
-statistic where the covariance is rank-deficient."""
+statistic where the covariance is rank-deficient.  The comparison on the
+fixed cases and the calibration on three values are in
+``test_validation.py``."""
 
 import warnings
 
@@ -10,24 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, epps_singleton_2samp
 
+from test_validation import _oracle_cases
+
 from idscale.errors import DegenerateSampleError
 from idscale.validation import _histogram, _pooled_semi_iqr, epps_singleton
-
-def _oracle_cases():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=900)
-    return {
-        # the validation shape: a large synthetic mixture against observed counts
-        "binomial-mixture": (rng.binomial(rng.choice(np.arange(40, 351), 7700), 0.2),
-                             rng.binomial(rng.choice(np.arange(40, 351), 770), 0.2)),
-        "binomial-ties": (rng.binomial(12, 0.3, size=400), rng.binomial(12, 0.35, size=300)),
-        "binomial-small": (rng.binomial(30, 0.4, size=25), rng.binomial(30, 0.4, size=31)),
-        "continuous": (rng.normal(size=500), rng.standard_t(5, size=650)),
-        "shifted": (x[:450], x[450:] + 0.4),
-        # the small-sample correction applies only when both samples are small
-        "poisson-20-2000": (rng.poisson(3, size=20), rng.poisson(3, size=2000)),
-        "poisson-20-20": (rng.poisson(3, size=20), rng.poisson(3, size=20)),
-    }
 
 
 def assert_sigma_is_percentile(a, b):
@@ -70,14 +58,6 @@ class TestEppsSingletonOracle:
     at most 4 distinct values make the covariance rank-deficient; the
     chi-square df is then that rank.  The small-sample correction applies,
     as in scipy, only when both samples hold fewer than 25 draws."""
-
-    @pytest.mark.parametrize("case", sorted(_oracle_cases()))
-    def test_matches_scipy(self, case):
-        a, b = _oracle_cases()[case]
-        ours = epps_singleton(a, b)
-        ref = epps_singleton_2samp(a, b)
-        assert ours.statistic == pytest.approx(ref.statistic, rel=1e-8)
-        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-8)
 
     @pytest.mark.parametrize("case", sorted(_oracle_cases()))
     def test_sigma_bit_equal_to_percentile(self, case):
@@ -123,16 +103,6 @@ class TestEppsSingletonOracle:
             assert ours.df == df == rank
             assert ours.statistic == pytest.approx(w, rel=1e-8)
             assert ours.p_value == pytest.approx(p, rel=1e-8)
-
-    def test_calibration_on_three_values(self):
-        # same uniform law on {0, 1, 2}: with df = 4 instead of 2 the
-        # level-0.05 rejection rate was 0 %
-        rng = np.random.default_rng(9)
-        rejections = sum(
-            epps_singleton(rng.integers(0, 3, 500), rng.integers(0, 3, 500)).p_value < 0.05
-            for _ in range(200)
-        )
-        assert 0.02 <= rejections / 200 <= 0.09
 
     def test_constant_samples_at_different_values(self):
         # sigma = 0.5, but both covariances vanish: rank 0 leaves no test

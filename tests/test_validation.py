@@ -2,13 +2,14 @@
 the library's numbers, tested at the call sites that use them: the
 Epps-Singleton test of ``idscale.validation``, the chi-square(1) rejection
 threshold of ``EstimatorConfig`` and the standard normal quantile behind
-``fisher_interval``.  The Epps-Singleton comparison with its references is in
-``test_specfun.py``."""
+``fisher_interval``.  The rest of the Epps-Singleton comparison with its
+references is in ``test_specfun.py``."""
 
 import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
+from scipy.stats import epps_singleton_2samp
 
 from idscale.adaptive import EstimatorConfig
 from idscale.errors import DegenerateSampleError, InvalidArgumentError
@@ -258,3 +259,44 @@ class TestEppsSingleton:
             epps_singleton(a, np.arange(50.0))
         with pytest.raises(InvalidArgumentError, match="finite"):
             epps_singleton(np.arange(50.0), a)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=900)
+    return {
+        # the validation shape: a large synthetic mixture against observed counts
+        "binomial-mixture": (rng.binomial(rng.choice(np.arange(40, 351), 7700), 0.2),
+                             rng.binomial(rng.choice(np.arange(40, 351), 770), 0.2)),
+        "binomial-ties": (rng.binomial(12, 0.3, size=400), rng.binomial(12, 0.35, size=300)),
+        "binomial-small": (rng.binomial(30, 0.4, size=25), rng.binomial(30, 0.4, size=31)),
+        "continuous": (rng.normal(size=500), rng.standard_t(5, size=650)),
+        "shifted": (x[:450], x[450:] + 0.4),
+        # the small-sample correction applies only when both samples are small
+        "poisson-20-2000": (rng.poisson(3, size=20), rng.poisson(3, size=2000)),
+        "poisson-20-20": (rng.poisson(3, size=20), rng.poisson(3, size=20)),
+    }
+
+
+class TestEppsSingletonOracle:
+    """scipy's per-draw ``epps_singleton_2samp`` is the reference for the
+    histogram computation.  The small-sample correction applies, as in
+    scipy, only when both samples hold fewer than 25 draws."""
+
+    @pytest.mark.parametrize("case", sorted(_oracle_cases()))
+    def test_matches_scipy(self, case):
+        a, b = _oracle_cases()[case]
+        ours = epps_singleton(a, b)
+        ref = epps_singleton_2samp(a, b)
+        assert ours.statistic == pytest.approx(ref.statistic, rel=1e-8)
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-8)
+
+    def test_calibration_on_three_values(self):
+        # same uniform law on {0, 1, 2}: with df = 4 instead of 2 the
+        # level-0.05 rejection rate was 0 %
+        rng = np.random.default_rng(9)
+        rejections = sum(
+            epps_singleton(rng.integers(0, 3, 500), rng.integers(0, 3, 500)).p_value < 0.05
+            for _ in range(200)
+        )
+        assert 0.02 <= rejections / 200 <= 0.09
