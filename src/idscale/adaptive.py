@@ -41,7 +41,7 @@ from .validation import validate_model
 
 K_MIN = 2  # smallest tested neighbourhood; keeps k_B* = k* - 1 >= 1
 
-# rows per block of the onset build: 0.36 MB of gathered radii at k_max = 350
+# rows per block of the onset build: 0.36 MB of flat positions at k_max = 350
 _ONSET_ROWS = 128
 
 THRESHOLD_MODES = ("fixed", "bonferroni_h", "bonferroni_n", "bonferroni_nh")
@@ -157,13 +157,22 @@ def _rejection_onsets(graph: NeighborGraph, config: EstimatorConfig) -> np.ndarr
     # arccosh(e^t) = t + log1p(sqrt(1 - e^-2t)): no cancellation, no overflow
     u = 2.0 * (t + np.log1p(np.sqrt(-np.expm1(-2.0 * t))))
     onsets = np.empty((graph.n_points, ks.size))
-    # in row blocks, so the gather below is never an n-row temporary
+    radii = graph.distances.ravel()
+    flat = np.empty((min(_ONSET_ROWS, graph.n_points), ks.size), dtype=np.int64)
+    # in row blocks, so the flat positions are never an n-row temporary;
+    # "clip" (every position is in range) writes straight into the onsets
     for start in range(0, graph.n_points, _ONSET_ROWS):
         rows = slice(start, start + _ONSET_ROWS)
-        block = np.log(graph.distances[rows, K_MIN - 1 : k_max], out=onsets[rows])
-        # j = index of i's (k+1)-th NN; its own k-th NN distance closes the test
-        log_r_j = graph.distances[graph.indices[rows, K_MIN : k_max + 1], ks - 1]
-        block -= np.log(log_r_j, out=log_r_j)
+        block = onsets[rows]
+        # j = index of i's (k+1)-th NN; its own k-th NN distance closes the
+        # test: one gather of r_{j,k} at flat position j * depth + k - 1
+        pos = np.multiply(graph.indices[rows, K_MIN : k_max + 1], graph.depth, out=flat[: len(block)])
+        pos += ks - 1
+        radii.take(pos, out=block, mode="clip")
+        np.log(block, out=block)
+        # the flat positions are spent, so their buffer takes log r_{i,k}
+        log_r_i = np.log(graph.distances[rows, K_MIN - 1 : k_max], out=pos.view(np.float64))
+        block -= log_r_i
         np.abs(block, out=block)
         # two zero radii leave a NaN gap, whose statistic is NaN and never rejects
         np.fmax(block, 0.0, out=block)

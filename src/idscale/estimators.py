@@ -36,6 +36,9 @@ BETA_PRIOR = 1.0
 
 _D_MIN, _D_MAX = 1e-3, 1e3
 
+# memberships per block of shared_pair_counts: about 2.5 MB of working arrays
+_PAIR_MEMBERSHIPS = 1 << 16
+
 
 @dataclass(frozen=True)
 class BinomialCounts:
@@ -158,30 +161,44 @@ def shared_pair_counts(graph: NeighborGraph, k_a: np.ndarray, k_b: np.ndarray) -
     Rows are sorted by (distance, index) and distances are symmetric, so i
     lies in j's first m columns exactly when (r_ij, i) sorts before row j's
     column m; the check reads r_ij from i's own row and needs no search.
-    Needs every ``k_b[i]`` below the graph depth.
+    The memberships are visited in blocks of consecutive rows, cut where
+    the running sum of ``k_b`` crosses a multiple of ``_PAIR_MEMBERSHIPS``,
+    so its membership-sized arrays hold about that many entries whatever n
+    and k are.  Needs every ``k_b[i]`` below the graph depth.
     """
     k_a = np.asarray(k_a, dtype=np.int64)
     k_b = np.asarray(k_b, dtype=np.int64)
     rows = np.arange(graph.n_points)
-    cols = np.arange(int(k_b.max()))
-    in_b = cols < k_b[:, None]
-    i = np.repeat(rows, k_b)
-    j = graph.indices[:, : cols.size][in_b]
-    r = graph.distances[:, : cols.size][in_b]
+    # the first entry past each point's outer and inner ball, once per call
+    edge_b = graph.distances[rows, k_b], graph.indices[rows, k_b]
+    edge_a = graph.distances[rows, k_a], graph.indices[rows, k_a]
 
-    def in_ball_of_j(size, i, j, r):
-        # (r, i) against the first entry past j's ball of size[j] columns
-        r_edge = graph.distances[rows, size][j]
+    def in_ball_of_j(edge, i, j, r):
+        # (r, i) against the first entry past j's ball
+        r_edge = edge[0][j]
         inside = r < r_edge
         tie = np.flatnonzero(r == r_edge)
-        inside[tie] = i[tie] < graph.indices[rows, size][j[tie]]
+        inside[tie] = i[tie] < edge[1][j[tie]]
         return inside
 
-    mutual = in_ball_of_j(k_b, i, j, r)
-    # C11 needs the reverse test only where j is in i's inner ball
-    inner = np.flatnonzero(mutual & (cols < k_a[:, None])[in_b])
-    both = in_ball_of_j(k_a, i[inner], j[inner], r[inner])
-    return int(np.count_nonzero(mutual)), inner.size, int(np.count_nonzero(both))
+    ends = np.cumsum(k_b)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_MEMBERSHIPS, ends[-1], _PAIR_MEMBERSHIPS), "right")
+    m = c1 = c11 = 0
+    for start, stop in zip([0, *cuts], [*cuts, graph.n_points]):
+        kb = k_b[start:stop]
+        cols = np.arange(int(kb.max(initial=0)))
+        in_b = cols < kb[:, None]
+        i = np.repeat(rows[start:stop], kb)
+        j = graph.indices[start:stop, : cols.size][in_b]
+        r = graph.distances[start:stop, : cols.size][in_b]
+        mutual = in_ball_of_j(edge_b, i, j, r)
+        # C11 needs the reverse test only where j is in i's inner ball
+        inner = np.flatnonzero(mutual & (cols < k_a[start:stop, None])[in_b])
+        both = in_ball_of_j(edge_a, i[inner], j[inner], r[inner])
+        m += int(np.count_nonzero(mutual))
+        c1 += inner.size
+        c11 += int(np.count_nonzero(both))
+    return m, c1, c11
 
 
 def pair_overlap_factor(graph: NeighborGraph, counts: BinomialCounts, d: float) -> float:

@@ -13,8 +13,9 @@ equidistant neighbours broken by the smaller point index so results are
 reproducible.  The selection partitions and sorts one uint64 key per
 entry: the distance's bits with the low ceil(log2 n) bits replaced by the
 column, which orders like (distance, column) wherever two distances differ
-above those bits.  A row in which two of its first K+1 keys agree above
-them (an exact or near tie) falls back to a full stable sort.
+above those bits.  Exact ties are then in column order already; a row
+with a near tie, two different distances that agree above those bits,
+falls back to a full stable sort.
 """
 
 from __future__ import annotations
@@ -194,10 +195,13 @@ def _k_smallest(block: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> None:
     keys, the column as the key's low bits and the value as one gather.
     Such doubles order like their bit patterns, so key order is (value,
     column) order except between two values that agree above the low b
-    bits, and those sit next to each other in key order.  A row is
-    therefore exact unless two adjacent keys among its first K+1 agree
-    above the low b bits, which covers ties inside the kept K and at the
-    K-th/(K+1)-th boundary; such rows are redone with the full stable sort.
+    bits, and those sit next to each other in key order.  Call such keys a
+    group.  A group of exactly equal values is in column order already, so
+    a row is exact unless a group among its first K+1 keys holds two
+    different values, or the K-th key's group goes on past the K+1 kept
+    keys and holds a value other than the K-th's further along the row
+    (one scan of that row's bits).  Such rows are redone with the full
+    stable sort.
     """
     K = idx.shape[1]
     low = np.uint64((1 << (block.shape[1] - 1).bit_length()) - 1)
@@ -211,8 +215,24 @@ def _k_smallest(block: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> None:
     # writes straight into dist, where the default mode fills a buffer first
     flat = idx + block.shape[1] * np.arange(len(block))[:, None]
     block.take(flat, out=dist, mode="clip")
-    tied = np.any((kept[:, 1:] ^ kept[:, :-1]) <= low, axis=1)
-    if np.any(tied):
+    # adjacent keys in one group, that is equal above the low b bits
+    same = (kept[:, 1:] ^ kept[:, :-1]) <= low
+    grouped = np.flatnonzero(np.any(same, axis=1))
+    if grouped.size == 0:
+        return
+    same = same[grouped]
+    # the values of the K+1 kept keys; a group of equal values is exact
+    vals = np.column_stack([dist[grouped], block[grouped, kept[grouped, K] & low]])
+    near = np.any(same & (vals[:, 1:] != vals[:, :-1]), axis=1)
+    # an exact tie at the K-th/(K+1)-th boundary: the group may go on past
+    # the kept keys, with a nearer member at a larger column
+    scan = np.flatnonzero(same[:, -1] & ~near)
+    if scan.size:
+        bits = block[grouped[scan]].view(np.uint64)
+        kth = vals[scan, K - 1 : K].view(np.uint64)
+        near[scan] = np.any(((bits ^ kth) <= low) & (bits != kth), axis=1)
+    tied = grouped[near]
+    if tied.size:
         rows = block[tied]
         full = np.argsort(rows, axis=1, kind="stable")[:, :K]
         idx[tied] = full

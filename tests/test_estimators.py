@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idscale import estimators
 from idscale.adaptive import EstimatorConfig, abide
 from idscale.datagen import gen_uniform_hypercube_periodic
 from idscale.errors import (
@@ -399,6 +401,55 @@ class TestPairOverlap:
         k_b = k - 1
         k_a = counts_within_open_balls(g, 0.6 * g.distances[np.arange(g.n_points), k - 1])
         assert shared_pair_counts(g, k_a, k_b) == self.pair_oracle(g, k_a, k_b)
+
+    @pytest.mark.parametrize("case", ["gaussian", "lattice", "periodic_lattice"])
+    def test_counts_over_several_blocks_match_pair_oracle(self, case):
+        # 900 rows of k_b ~ U[1, 350] make about 158,000 memberships, at
+        # least 3 blocks; on the lattices equidistant neighbours, split by
+        # index, straddle every block cut
+        rng = np.random.default_rng(18)
+        grid = np.argwhere(np.ones((30, 30))).astype(np.float64)
+        ds = {
+            "gaussian": Dataset(rng.normal(size=(900, 3))),
+            "lattice": Dataset(grid),
+            "periodic_lattice": Dataset(grid, periods=np.array([30.0, 30.0])),
+        }[case]
+        g = build_neighbor_graph(ds, K=351)
+        k_b = rng.integers(1, 351, size=g.n_points)
+        k_b[::97] = g.depth - 1
+        k_a = rng.integers(0, k_b + 1)
+        k_a[::13] = 0
+        assert k_b.sum() > 2 * estimators._PAIR_MEMBERSHIPS
+        assert shared_pair_counts(g, k_a, k_b) == self.pair_oracle(g, k_a, k_b)
+
+    def test_fixed_radius_with_empty_balls_over_several_blocks(self):
+        # a dense cloud far from sparse outliers, which hold no neighbour
+        # within t_b, so k_b = 0 on those rows
+        rng = np.random.default_rng(19)
+        pts = np.vstack([rng.normal(size=(1000, 2)), 1e3 * rng.normal(size=(60, 2)) + 1e4])
+        g = build_neighbor_graph(Dataset(pts), K=450)
+        t_b, tau = 1.0, 0.6
+        radii = np.full(g.n_points, t_b)
+        k_b = counts_within_open_balls(g, radii)
+        k_a = counts_within_open_balls(g, tau * radii)
+        assert np.count_nonzero(k_b == 0) >= 50 and k_b.sum() > 2 * estimators._PAIR_MEMBERSHIPS
+        assert shared_pair_counts(g, k_a, k_b) == self.pair_oracle(g, k_a, k_b)
+        est = bide_fixed_radius(g, t_b, tau)
+        factor = pair_overlap_factor(g, BinomialCounts(k_a=k_a, k_b=k_b, tau=tau), est.d)
+        assert est.fisher_info == fisher_information(est.d, tau, k_b) / factor
+
+    def test_working_memory_is_bounded(self):
+        # the unblocked count held about 14 MB of membership-sized arrays here
+        g = build_neighbor_graph(gen_uniform_hypercube_periodic(n=1200, d=5, seed=0), K=351)
+        k_b = np.full(g.n_points, 350)
+        k_a = counts_within_open_balls(g, 0.7 * g.distances[:, 349])
+        tracemalloc.start()
+        try:
+            shared_pair_counts(g, k_a, k_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     @pytest.mark.parametrize("method", ["bide_k", "abide"])
     def test_reported_information_and_ci(self, method):

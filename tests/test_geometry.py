@@ -287,6 +287,43 @@ class TestNeighborSelection:
             build_neighbor_graph(ds, K=351)
         assert not [c for c in spy.call_args_list if c.kwargs.get("kind") == "stable"]
 
+    @pytest.mark.parametrize("case", ["lattice", "periodic_lattice", "integer_d64"])
+    def test_exact_ties_take_no_fallback(self, case):
+        # every row ties exactly, at the K-th/(K+1)-th boundary too, and the
+        # packed keys already put equal distances in column order
+        ds = {
+            "lattice": lambda: integer_lattice(40, 2, False),
+            "periodic_lattice": lambda: integer_lattice(40, 2, True),
+            "integer_d64": lambda: geometry.deduplicate(Dataset(
+                np.random.default_rng(22).integers(0, 17, size=(800, 64)).astype(np.float64))),
+        }[case]()
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            assert_graph_is_stable_sort(ds, 351)
+        # the oracle's own stable sort is the only one
+        assert len([c for c in spy.call_args_list if c.kwargs.get("kind") == "stable"]) == 1
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_boundary_tie_group_with_nearer_member_past_the_kept_keys(self, periodic, K):
+        # from point 0: the K-th and (K+1)-th keys are the exact ties at
+        # distance e (columns 2 and 3), and point 6, the largest column, is
+        # 1 ulp nearer, so its key sorts after both and only a scan of the
+        # row finds it
+        e = 1.0 + 2.0**-51
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [e, 0.0], [0.0, e], [5.0, 0.0], [0.0, 9.0],
+                        [0.0, e - 2.0**-52]])
+        if K == 1:
+            pts[1] = [7.0, 7.0]
+        ds = with_metric(pts, periodic, period=20.0)
+        d = pairwise_distances(ds.points[:1], ds.points, ds.periods)[0]
+        high = d.view(np.uint64) >> np.uint64(3)
+        assert d[2] == d[3] > d[6] and high[2] == high[3] == high[6]
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            g = build_neighbor_graph(ds, K=K)
+        assert [c for c in spy.call_args_list if c.kwargs.get("kind") == "stable"]
+        assert g.indices[0, K - 1] == 6
+        assert_graph_is_stable_sort(ds, K)
+
     @pytest.mark.parametrize("periodic", [False, True])
     def test_full_depth_never_keeps_self(self, periodic):
         rng = np.random.default_rng(8)

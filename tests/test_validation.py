@@ -5,8 +5,12 @@ threshold of ``EstimatorConfig`` and the standard normal quantile behind
 ``fisher_interval``.  The rest of the Epps-Singleton comparison with its
 references is in ``test_specfun.py``."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 from scipy.stats import epps_singleton_2samp
@@ -16,6 +20,8 @@ from idscale.errors import DegenerateSampleError, InvalidArgumentError
 from idscale.estimators import fisher_interval
 from idscale.validation import (
     SYNTHETIC_CAP,
+    _histogram,
+    _pooled_semi_iqr,
     epps_singleton,
     sample_mixture,
     validate_model,
@@ -261,6 +267,13 @@ class TestEppsSingleton:
             epps_singleton(np.arange(50.0), a)
 
 
+def assert_sigma_is_percentile(a, b):
+    q75, q25 = np.percentile(np.concatenate([a, b]).astype(float), [75, 25])
+    sigma = _pooled_semi_iqr(_histogram(a), _histogram(b))
+    assert sigma == 0.5 * (q75 - q25)
+    return sigma
+
+
 def _oracle_cases():
     rng = np.random.default_rng(7)
     x = rng.normal(size=900)
@@ -280,8 +293,9 @@ def _oracle_cases():
 
 class TestEppsSingletonOracle:
     """scipy's per-draw ``epps_singleton_2samp`` is the reference for the
-    histogram computation.  The small-sample correction applies, as in
-    scipy, only when both samples hold fewer than 25 draws."""
+    histogram computation, and numpy's ``percentile`` for its pooled
+    semi-IQR.  The small-sample correction applies, as in scipy, only when
+    both samples hold fewer than 25 draws."""
 
     @pytest.mark.parametrize("case", sorted(_oracle_cases()))
     def test_matches_scipy(self, case):
@@ -300,3 +314,34 @@ class TestEppsSingletonOracle:
             for _ in range(200)
         )
         assert 0.02 <= rejections / 200 <= 0.09
+
+    @pytest.mark.parametrize("case", sorted(_oracle_cases()))
+    def test_sigma_bit_equal_to_percentile(self, case):
+        assert_sigma_is_percentile(*_oracle_cases()[case])
+
+    def test_sigma_interpolates_like_numpy(self):
+        # few, widely spread values: interpolating from the wrong end of
+        # a quartile's bracket differs from numpy in the last bit
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            assert_sigma_is_percentile(rng.lognormal(sigma=3, size=rng.integers(1, 8)),
+                                       rng.normal(scale=10, size=rng.integers(1, 8)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.lists(st.integers(0, 40), min_size=25, max_size=120),
+        b=st.lists(st.integers(0, 45), min_size=25, max_size=120),
+    )
+    def test_random_integer_samples(self, a, b):
+        a, b = np.array(a), np.array(b)
+        sigma = assert_sigma_is_percentile(a, b)
+        # a sample with few distinct values makes the covariance (near)
+        # singular, where pinv amplifies any rounding difference
+        assume(sigma > 0 and min(np.unique(a).size, np.unique(b).size) >= 5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ref = epps_singleton_2samp(a, b)
+        assume(not caught)  # scipy then lowers the chi-square df below 4
+        ours = epps_singleton(a, b)
+        assert ours.statistic == pytest.approx(ref.statistic, rel=1e-8)
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-8)
