@@ -65,7 +65,6 @@ class EstimatorConfig:
     beta_ci: float = BETA_CI
     threshold_mode: str = "fixed"
     depth: int = 512
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -203,10 +202,6 @@ def _assemble_counts(graph, k_star, tau, k_max):
     return state, BinomialCounts(k_a=ka_star, k_b=k_star - 1, tau=tau)
 
 
-def _validation_seed(config: EstimatorConfig, step: int) -> int:
-    return int(np.random.SeedSequence((config.seed, step)).generate_state(1)[0])
-
-
 def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> AbideResult:
     """Shared fixed-point skeleton: start from the two-NN estimate, then
     alternate k* selection and a global ID update until |delta d| < delta."""
@@ -221,16 +216,14 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     converged = False
     iterations = 0
     d_next = d_current
-    for step in range(config.max_iter):
+    for _ in range(config.max_iter):
         tau = optimal_tau(d_current)
         k_star = _k_star_from_onsets(onsets, d_current, config.k_max)
         _, counts = _assemble_counts(graph, k_star, tau, config.k_max)
         d_next = update(graph, counts, k_star)
         if not np.isfinite(d_next) or d_next <= 0:
             raise OptimizationFailureError(f"non-finite or non-positive iterate {d_next}")
-        p_val = validate_model(
-            counts.k_a, counts.k_b, d_next, tau, seed=_validation_seed(config, step)
-        ).p_value
+        p_val = validate_model(counts.k_a, counts.k_b, d_next, tau).p_value
         trace.append(IterationRecord(d=d_next, mean_k_star=float(k_star.mean()), validation_p=p_val))
         iterations += 1
         if abs(d_current - d_next) < config.delta:
@@ -242,8 +235,7 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     k_star = _k_star_from_onsets(onsets, d_next, config.k_max)
     del onsets
     state, counts = _assemble_counts(graph, k_star, optimal_tau(d_next), config.k_max)
-    estimate = _finish_bide(graph, counts, d_next, config.beta_ci,
-                            _validation_seed(config, config.max_iter))
+    estimate = _finish_bide(graph, counts, d_next, config.beta_ci)
     return AbideResult(estimate=replace(estimate, trace=trace), state=state,
                        iterations_run=iterations, converged=converged)
 
@@ -325,20 +317,18 @@ def required_depth(method: str, n: int, config: EstimatorConfig) -> int:
 def run_method(method: str, graph: NeighborGraph, config: EstimatorConfig) -> AbideResult:
     """Run one of ``METHODS`` on ``graph``.
 
-    Every method takes its CI level from ``config.beta_ci``; bide-r (which
-    needs ``config.tb`` and ``config.tau``) and bide-k (``config.k`` and
-    ``config.tau``) take their validation seed from ``config.seed``.  The
-    adaptive methods cap ``config.k_max`` at n - 2, with a warning when that
-    lowers it.
+    Every method takes its CI level from ``config.beta_ci``; bide-r also
+    needs ``config.tb`` and ``config.tau``, and bide-k ``config.k`` and
+    ``config.tau``.  The adaptive methods cap ``config.k_max`` at n - 2,
+    with a warning when that lowers it.
     """
     check_options(method, config)
-    fixed = {"beta": config.beta_ci, "seed": config.seed}
     if method == "twonn":
         return AbideResult(twonn_estimate(graph, beta=config.beta_ci))
     if method == "bide-r":
-        return AbideResult(bide_fixed_radius(graph, config.tb, config.tau, **fixed))
+        return AbideResult(bide_fixed_radius(graph, config.tb, config.tau, config.beta_ci))
     if method == "bide-k":
-        return AbideResult(bide_fixed_k(graph, config.k, config.tau, **fixed))
+        return AbideResult(bide_fixed_k(graph, config.k, config.tau, config.beta_ci))
     k_max = required_depth(method, graph.n_points, config) - 1
     if k_max < config.k_max:
         warnings.warn(f"k_max clamped to {k_max} for n={graph.n_points}")

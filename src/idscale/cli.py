@@ -144,11 +144,7 @@ def _fail(err: IdscaleError) -> None:
 
 def _threads_from(option_value: int | None) -> int:
     """Replica workers: --threads, else every core."""
-    if option_value is None:
-        return os.cpu_count() or 1
-    if option_value < 1:
-        raise InvalidArgumentError(f"thread count must be an integer >= 1, got {option_value!r}")
-    return option_value
+    return option_value or os.cpu_count() or 1
 
 
 def _build_and_run(method: str, dataset: Dataset, config: adaptive_mod.EstimatorConfig,
@@ -245,13 +241,13 @@ def estimate(method, input_path, periodic, output, **opts):
     dataset = load_dataset(input_path, _parse_periodic(periodic))
     graph, res, timing = _build_and_run(method, dataset, config)
     echo = {_FLAG_NAMES.get(name, name): value for name, value in dataclasses.asdict(config).items()
-            if name not in ("depth", "seed")}
+            if name != "depth"}
     report = {
         "schema_version": SCHEMA_VERSION,
         "method": method,
         "dataset": dataset_fingerprint(graph.dataset),
         "config": {**echo, "threshold_mode": _THRESHOLD_FLAGS[config.threshold_mode],
-                   "periodic": periodic, "seed": config.seed},
+                   "periodic": periodic},
         "estimate": dataclasses.asdict(res.estimate),
         "timing": timing,
     }
@@ -266,11 +262,11 @@ def estimate(method, input_path, periodic, output, **opts):
 @click.option("--mode", type=click.Choice(["radius", "k"]), required=True)
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
 @click.option("--periodic", type=str, default=None, help=_PERIODIC_HELP)
-@click.option("--grid-size", type=int, default=16, show_default=True)
-@click.option("--tb-min", type=float, default=None)
-@click.option("--tb-max", type=float, default=None)
+@click.option("--grid-size", type=click.IntRange(min=1), default=16, show_default=True)
+@click.option("--tb-min", type=click.FloatRange(min=0, min_open=True), default=None)
+@click.option("--tb-max", type=click.FloatRange(min=0, min_open=True), default=None)
 @click.option("--k-min", type=int, default=2, show_default=True)
-@click.option("--k-max-scan", type=int, default=None)
+@click.option("--k-max-scan", type=click.IntRange(min=2), default=None)
 @click.option("--output", type=str, default=None)
 @_estimator_options("tb", "k", "alpha0", "beta0")
 def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_scan,
@@ -278,13 +274,6 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
     """Sweep fixed-radius or fixed-k estimates across a grid, with the
     adaptive estimate as the starred reference."""
     config = adaptive_mod.EstimatorConfig(**opts)
-    if grid_size < 1:
-        raise InvalidArgumentError(f"--grid-size must be >= 1, got {grid_size}")
-    for flag, bound in (("--tb-min", tb_min), ("--tb-max", tb_max)):
-        if bound is not None and bound <= 0:
-            raise InvalidArgumentError(f"{flag} must be positive, got {bound}")
-    if k_max_scan is not None and k_max_scan < 2:
-        raise InvalidArgumentError(f"--k-max-scan must be >= 2, got {k_max_scan}")
     dataset = load_dataset(input_path, _parse_periodic(periodic))
     # one graph for the abide reference and a bide-r depth of grid radii
     graph, ref, timing = _build_and_run("abide", dataset, config, depth=config.depth)
@@ -330,13 +319,13 @@ _SPEC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(datagen.Generato
 
 def _generator_options(fn):
     """Decorator adding ``--generator`` (the spec's kind), ``--n`` and an
-    option per other ``GeneratorSpec`` field but the seed, with the field's
-    default (shown in --help for the float fields)."""
+    option per other ``GeneratorSpec`` field, with the field's default
+    (shown in --help for the float fields and the seed)."""
     for name, default in reversed(_SPEC_DEFAULTS.items()):
-        if default is not dataclasses.MISSING and name != "seed":
+        if default is not dataclasses.MISSING:
             fn = click.option(
                 "--" + name.replace("_", "-"), type=type(default), default=default,
-                show_default=isinstance(default, float),
+                show_default=isinstance(default, float) or name == "seed",
             )(fn)
     fn = click.option("--n", type=int, required=True)(fn)
     return click.option("--generator", "kind", type=click.Choice(list(datagen.GENERATOR_KINDS)),
@@ -346,8 +335,7 @@ def _generator_options(fn):
 def _benchmark_replica(payload: dict) -> dict:
     """One seeded replica: generate, build the graph, run the method."""
     spec = payload["spec"]
-    graph, res, timing = _build_and_run(payload["method"], datagen.generate(spec),
-                                        dataclasses.replace(payload["config"], seed=spec.seed))
+    graph, res, timing = _build_and_run(payload["method"], datagen.generate(spec), payload["config"])
     est = res.estimate
     out = {
         "replica": payload["replica"],
@@ -369,8 +357,8 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
                   threads: int = 1, normality: bool = False, d_true: float | None = None,
                   estimator_cfg: dict | None = None) -> dict:
     """Seeded Monte Carlo replicas of one generator/method pair;
-    ``estimator_cfg`` maps ``EstimatorConfig`` fields to values, and each
-    replica's seed replaces the config's."""
+    ``estimator_cfg`` maps ``EstimatorConfig`` fields to values, and every
+    replica runs with that one config on its own generator seed."""
     config = adaptive_mod.EstimatorConfig(**(estimator_cfg or {}))
     adaptive_mod.check_options(method, config)
     if replicas < 1:
@@ -422,13 +410,14 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
 @_generator_options
 @click.option("--method", type=click.Choice(list(METHODS)), required=True)
 @click.option("--replicas", type=int, default=1, show_default=True)
-@click.option("--threads", type=int, default=None, help="defaults to available cores")
+@click.option("--threads", type=click.IntRange(min=1), default=None,
+              help="defaults to available cores")
 @click.option("--normality", is_flag=True, default=False)
 @click.option("--d-true", type=float, default=None)
 @click.option("--output", type=str, default=None)
 @_estimator_options()
-def benchmark(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, method,
-              replicas, threads, normality, d_true, output, seed, **opts):
+def benchmark(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed, method,
+              replicas, threads, normality, d_true, output, **opts):
     """Monte Carlo benchmark with deterministic per-replica seed streams."""
     spec = datagen.GeneratorSpec(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed)
     _emit(run_benchmark(
@@ -439,7 +428,6 @@ def benchmark(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, method,
 
 @main.command()
 @_generator_options
-@click.option("--seed", type=int, default=_SPEC_DEFAULTS["seed"], show_default=True)
 @click.option("--output", type=str, required=True)
 def generate(output, **fields):
     """Materialize a generator spec to CSV plus a JSON sidecar."""

@@ -117,7 +117,7 @@ def fisher_interval(d_star, tau, kb_values, beta=BETA_CI):
     independent-count information ``fisher_information``.
 
     Shared neighbour pairs are not counted here; the estimators that see
-    the graph use ``shared_pair_fisher`` instead.
+    the graph divide the information by ``pair_overlap_factor`` instead.
     """
     kb = np.asarray(kb_values, dtype=np.float64)
     n = kb.size
@@ -223,13 +223,6 @@ def pair_overlap_factor(graph: NeighborGraph, counts: BinomialCounts, d: float) 
     return float(v / (s_b * p * (1.0 - p)))
 
 
-def shared_pair_fisher(graph: NeighborGraph, counts: BinomialCounts, d: float, beta: float):
-    """Per-point information divided by the pair-overlap factor, and the
-    confidence interval at level 1 - beta that it gives."""
-    info = fisher_information(d, counts.tau, counts.k_b) / pair_overlap_factor(graph, counts, d)
-    return info, _normal_interval(d, counts.k_b.size * info, beta)
-
-
 def twonn_equivalent_tau(graph: NeighborGraph, d_hat: float) -> tuple[float, BinomialCounts] | None:
     """The radius ratio at which the binomial closed form reproduces the
     two-NN estimate, together with the order-2 counts it was derived from.
@@ -291,7 +284,6 @@ def bide_fixed_radius(
     t_b: float,
     tau: float,
     beta: float = BETA_CI,
-    seed: int = 0,
 ) -> IdEstimate:
     """Binomial estimator at a fixed outer radius t_b (inner radius tau * t_b).
 
@@ -310,7 +302,7 @@ def bide_fixed_radius(
     k_a = counts_within_open_balls(graph, tau * radii)
     counts = BinomialCounts(k_a=k_a, k_b=k_b, tau=tau)
     d_hat = bide_closed_form(counts)
-    return _finish_bide(graph, counts, d_hat, beta, seed)
+    return _finish_bide(graph, counts, d_hat, beta)
 
 
 def bide_fixed_k(
@@ -318,7 +310,6 @@ def bide_fixed_k(
     k: int,
     tau: float,
     beta: float = BETA_CI,
-    seed: int = 0,
 ) -> IdEstimate:
     """Binomial estimator with the outer ball at each point's k-th neighbour.
 
@@ -338,16 +329,16 @@ def bide_fixed_k(
     k_a = counts_within_open_balls(graph, tau * t_b)
     counts = BinomialCounts(k_a=k_a, k_b=k_b, tau=tau)
     d_hat = bide_closed_form(counts)
-    return _finish_bide(graph, counts, d_hat, beta, seed)
+    return _finish_bide(graph, counts, d_hat, beta)
 
 
-def _finish_bide(graph, counts, d_hat, beta, seed):
-    info, ci = shared_pair_fisher(graph, counts, d_hat, beta)
-    p_val = validate_model(counts.k_a, counts.k_b, d_hat, counts.tau, seed=seed).p_value
+def _finish_bide(graph, counts, d_hat, beta):
+    info = fisher_information(d_hat, counts.tau, counts.k_b) / pair_overlap_factor(graph, counts, d_hat)
+    p_val = validate_model(counts.k_a, counts.k_b, d_hat, counts.tau).p_value
     return IdEstimate(
         d=d_hat,
         tau=counts.tau,
-        ci=ci,
+        ci=_normal_interval(d_hat, counts.k_b.size * info, beta),
         mean_kb=float(counts.k_b.mean()),
         validation_p=p_val,
         fisher_info=info,
@@ -395,17 +386,15 @@ def gride_mle_from_ratios(mu, n1, n2) -> float:
     root-finding on (1e-3, 1e3).
     """
     mu = np.asarray(mu, dtype=np.float64)
+    n1 = np.broadcast_to(np.asarray(n1, dtype=np.float64), mu.shape)
+    n2 = np.broadcast_to(np.asarray(n2, dtype=np.float64), mu.shape)
     keep = mu > 1.0
     if not np.all(keep):
         warnings.warn(f"dropping {int((~keep).sum())} unit distance ratios", stacklevel=2)
-        n1 = np.broadcast_to(np.asarray(n1, dtype=np.float64), mu.shape)[keep]
-        n2 = np.broadcast_to(np.asarray(n2, dtype=np.float64), mu.shape)[keep]
-        mu = mu[keep]
+        mu, n1, n2 = mu[keep], n1[keep], n2[keep]
     if mu.size == 0:
         raise InvalidArgumentError("no usable distance ratios (all equal to 1)")
     # sorted reduction: bitwise identical under point relabelling
-    n1 = np.broadcast_to(np.asarray(n1, dtype=np.float64), mu.shape)
-    n2 = np.broadcast_to(np.asarray(n2, dtype=np.float64), mu.shape)
     order = np.lexsort((n2, n1, mu))
     mu, n1, n2 = mu[order], n1[order], n2[order]
     lo, hi = _D_MIN, _D_MAX

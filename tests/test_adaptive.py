@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -295,8 +295,8 @@ class TestAbide:
         assert len(res.estimate.trace) == res.iterations_run + 1
 
     def test_determinism(self, torus_small):
-        r1 = abide(torus_small, small_config(seed=3))
-        r2 = abide(torus_small, small_config(seed=3))
+        r1 = abide(torus_small, small_config())
+        r2 = abide(torus_small, small_config())
         assert r1.estimate.d == r2.estimate.d
         assert [t.d for t in r1.estimate.trace] == [t.d for t in r2.estimate.trace]
         assert r1.estimate.validation_p == r2.estimate.validation_p
@@ -362,6 +362,19 @@ def torus_150():
     return gen_uniform_hypercube_periodic(n=150, d=2, seed=3)
 
 
+@pytest.fixture(scope="module")
+def relabelled_gaussian():
+    """A K = 101 graph of 300 Gaussian points, the graph of the same points
+    in permuted order, the permutation, and a config for every method."""
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(300, 3))
+    perm = rng.permutation(300)
+    graph = build_neighbor_graph(Dataset(pts), K=101)
+    config = EstimatorConfig(k_max=100, tau=0.5, k=20,
+                             tb=float(np.median(graph.distances[:, 19])))
+    return graph, build_neighbor_graph(Dataset(pts[perm]), K=101), perm, config
+
+
 class TestRunMethod:
     @pytest.mark.parametrize("method", METHODS)
     def test_result_at_required_depth(self, torus_150, method):
@@ -392,8 +405,17 @@ class TestRunMethod:
         wide, narrow = run(beta_ci=0.05).estimate, run(beta_ci=0.5).estimate
         assert wide.d == narrow.d
         assert wide.ci[0] < narrow.ci[0] < narrow.ci[1] < wide.ci[1]
-        if method != "twonn":
-            assert run(seed=1).estimate.validation_p != run(seed=2).estimate.validation_p
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_relabelling_is_bit_exact(self, relabelled_gaussian, method):
+        graph, permuted_graph, perm, config = relabelled_gaussian
+        base = run_method(method, graph, config)
+        permuted = run_method(method, permuted_graph, config)
+        # d, ci, fisher_info, validation_p and the whole trace
+        assert asdict(permuted.estimate) == asdict(base.estimate)
+        if base.state is not None:
+            assert np.array_equal(permuted.state.k_star, base.state.k_star[perm])
+            assert np.array_equal(permuted.state.ka_star, base.state.ka_star[perm])
 
     @pytest.mark.parametrize("method, missing", [
         ("bide-r", "tb"), ("bide-r", "tau"), ("bide-k", "k"), ("bide-k", "tau"),

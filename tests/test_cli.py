@@ -281,13 +281,12 @@ class TestBenchmarkCommand:
         assert summary["per_replica"][0]["d"] == estimators.twonn_estimate(graph).d
         assert summary["quantiles"]["q50"] == summary["per_replica"][0]["d"]
 
-    def test_replica_seed_is_the_validation_seed(self):
+    def test_replica_matches_direct_run(self):
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=400, d=2, seed=1)
         cfg = {"k": 20, "tau": 0.45}
         rep = run_benchmark(spec, "bide-k", replicas=1, threads=1, estimator_cfg=cfg)["per_replica"][0]
         ds = datagen.generate(dataclasses.replace(spec, seed=rep["seed"]))
-        direct = run_method("bide-k", build_neighbor_graph(ds, 20),
-                            EstimatorConfig(**cfg, seed=rep["seed"])).estimate
+        direct = run_method("bide-k", build_neighbor_graph(ds, 20), EstimatorConfig(**cfg)).estimate
         assert rep["validation_p"] == direct.validation_p and rep["d"] == direct.d
 
     def test_replica_determinism_across_thread_counts(self):
@@ -384,6 +383,12 @@ class TestEstimatorDefaults:
             if field.name == "threshold_mode":
                 default = cli._THRESHOLD_MODES[default]
             assert default == field.default, field.name
+
+    @pytest.mark.parametrize("command", ["estimate", "scan"])
+    def test_no_seed_option(self, command):
+        # the fit check draws from one fixed stream, so an estimate is a function
+        # of the graph and the config alone
+        assert "seed" not in {p.name for p in main.commands[command].params}
 
     def test_run_benchmark_defaults(self, monkeypatch):
         seen = []
@@ -533,8 +538,6 @@ class TestGenerateCommand:
         defaults = {p.name: p.default for p in main.commands[command].params}
         expected = {f.name: f.default for f in dataclasses.fields(datagen.GeneratorSpec)
                     if f.default is not dataclasses.MISSING}
-        if command == "benchmark":  # its --seed is the estimator option
-            del expected["seed"]
         assert {key: defaults[key] for key in expected} == expected
 
     def test_sidecar_echoes_spec(self, runner, tmp_path):

@@ -202,7 +202,7 @@ class TestBideFixedRadius:
             bide_fixed_radius(g, 0.5, 0.5)
 
     def test_torus_at_moderate_scale(self, torus_2d):
-        est = bide_fixed_radius(torus_2d, 0.05, 0.5, seed=0)
+        est = bide_fixed_radius(torus_2d, 0.05, 0.5)
         assert 1.85 <= est.d <= 2.15
         assert est.ci[0] < est.d < est.ci[1]
 
@@ -213,7 +213,7 @@ class TestBideFixedK:
             bide_fixed_k(torus_2d, 1, 0.5)
 
     def test_torus_k30(self, torus_2d):
-        est = bide_fixed_k(torus_2d, 30, optimal_tau(2.0), seed=0)
+        est = bide_fixed_k(torus_2d, 30, optimal_tau(2.0))
         assert 1.85 <= est.d <= 2.15
 
     def test_scale_invariance_bit_exact(self):
