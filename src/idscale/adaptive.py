@@ -37,7 +37,8 @@ from .estimators import (
     twonn_estimate,
 )
 from .geometry import NeighborGraph, counts_within_open_balls
-from .validation import validate_model
+# unused here: perfbench's tracer wraps adaptive.validate_model by name
+from .validation import validate_model  # noqa: F401
 
 K_MIN = 2  # smallest tested neighbourhood; keeps k_B* = k* - 1 >= 1
 
@@ -123,7 +124,8 @@ class AbideResult:
     """An estimate and, for the adaptive methods, the loop's final state;
     the fixed-scale methods leave the last three fields None.  The adaptive
     methods divide ``estimate.fisher_info`` by ``pair_overlap_factor`` at
-    the terminal state and build ``estimate.ci`` from it."""
+    the terminal state and build ``estimate.ci`` from it; the one fit check,
+    ``estimate.validation_p``, is made at that state too."""
 
     estimate: IdEstimate
     state: AdaptiveState | None = None
@@ -204,7 +206,10 @@ def _assemble_counts(graph, k_star, tau, k_max):
 
 def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> AbideResult:
     """Shared fixed-point skeleton: start from the two-NN estimate, then
-    alternate k* selection and a global ID update until |delta d| < delta."""
+    alternate k* selection and a global ID update until |delta d| < delta.
+
+    The trace holds d and mean k* per iterate.  The fit check runs once,
+    in ``_finish_bide`` at the terminal k*, tau and d."""
     n = graph.n_points
     if n < 100:
         warnings.warn(f"adaptive estimation on only {n} points is unreliable", stacklevel=3)
@@ -223,8 +228,7 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
         d_next = update(graph, counts, k_star)
         if not np.isfinite(d_next) or d_next <= 0:
             raise OptimizationFailureError(f"non-finite or non-positive iterate {d_next}")
-        p_val = validate_model(counts.k_a, counts.k_b, d_next, tau).p_value
-        trace.append(IterationRecord(d=d_next, mean_k_star=float(k_star.mean()), validation_p=p_val))
+        trace.append(IterationRecord(d=d_next, mean_k_star=float(k_star.mean())))
         iterations += 1
         if abs(d_current - d_next) < config.delta:
             converged = True

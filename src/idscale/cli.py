@@ -43,7 +43,7 @@ OPTDIGITS_URL = (
 
 def load_dataset(path: str, periodic: list[float] | None = None) -> Dataset:
     """Read a CSV point cloud (rows = points); a single non-numeric header
-    row is skipped automatically."""
+    row, the first non-blank line, is skipped automatically."""
     rows = []
     width = None
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
@@ -53,14 +53,13 @@ def load_dataset(path: str, periodic: list[float] | None = None) -> Dataset:
             if not line:
                 continue
             cells = line.split(",")
-            if lineno == 1:
+            if width is None:
+                # the first non-blank line sets the width; a header row is skipped
+                width = len(cells)
                 try:
                     float(cells[0])
                 except ValueError:
-                    width = len(cells)
                     continue
-            if width is None:
-                width = len(cells)
             elif len(cells) != width:
                 raise ParseError(f"ragged row: expected {width} columns", line=lineno)
             try:
@@ -143,8 +142,12 @@ def _fail(err: IdscaleError) -> None:
 
 
 def _threads_from(option_value: int | None) -> int:
-    """Replica workers: --threads, else every core."""
-    return option_value or os.cpu_count() or 1
+    """Replica workers: --threads, else the cores this process may use."""
+    if option_value:
+        return option_value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_and_run(method: str, dataset: Dataset, config: adaptive_mod.EstimatorConfig,

@@ -65,9 +65,10 @@ class BinomialCounts:
 
 @dataclass
 class IterationRecord:
+    """One iterate of an estimate: its d and, where a k* exists, mean k*."""
+
     d: float
     mean_k_star: float | None = None
-    validation_p: float | None = None
 
 
 @dataclass
@@ -77,7 +78,9 @@ class IdEstimate:
     ``fisher_info`` is the per-point information behind ``ci``.  For the
     count-based estimators (``bide_fixed_radius``, ``bide_fixed_k`` and the
     adaptive loop) it is already divided by ``pair_overlap_factor``, so
-    sqrt(n * fisher_info) * (d - d_true) is the pivot.
+    sqrt(n * fisher_info) * (d - d_true) is the pivot.  ``validation_p``
+    is the fit check of the reported d at its counts, made once per
+    estimate; ``trace`` holds d and mean k* per iterate.
     """
 
     d: float
@@ -342,7 +345,7 @@ def _finish_bide(graph, counts, d_hat, beta):
         mean_kb=float(counts.k_b.mean()),
         validation_p=p_val,
         fisher_info=info,
-        trace=[IterationRecord(d=d_hat, validation_p=p_val)],
+        trace=[IterationRecord(d=d_hat)],
     )
 
 

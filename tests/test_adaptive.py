@@ -6,6 +6,8 @@ import pytest
 from scipy import special
 from scipy.stats import chi2
 
+from idscale import adaptive as adaptive_mod
+from idscale import estimators
 from idscale.adaptive import (
     K_MIN,
     METHODS,
@@ -33,6 +35,7 @@ from idscale.errors import (
 )
 from idscale.estimators import twonn_estimate
 from idscale.geometry import Dataset, NeighborGraph, build_neighbor_graph
+from idscale.validation import validate_model
 
 # frozen by direct evaluation of -2*(log 2 + log 4 - 2 log 6 + log 4)
 LRT_UNIT_EXAMPLE = 0.2355660713127670
@@ -373,6 +376,25 @@ def relabelled_gaussian():
     config = EstimatorConfig(k_max=100, tau=0.5, k=20,
                              tb=float(np.median(graph.distances[:, 19])))
     return graph, build_neighbor_graph(Dataset(pts[perm]), K=101), perm, config
+
+
+class TestFitCheck:
+    @pytest.mark.parametrize("max_iter", [1, 5])
+    @pytest.mark.parametrize("method", [abide, babide, agride])
+    def test_one_check_at_the_terminal_state(self, torus_small, monkeypatch, method, max_iter):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return validate_model(*args)
+
+        # the loop's own lookup too, so a per-iterate check would be counted
+        monkeypatch.setattr(estimators, "validate_model", counting)
+        monkeypatch.setattr(adaptive_mod, "validate_model", counting)
+        res = method(torus_small, small_config(max_iter=max_iter))
+        assert len(calls) == 1
+        st, est = res.state, res.estimate
+        assert est.validation_p == validate_model(st.ka_star, st.kb_star, est.d, est.tau).p_value
 
 
 class TestRunMethod:

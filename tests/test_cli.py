@@ -44,6 +44,13 @@ class TestLoadDataset:
         ds = load_dataset(path)
         assert ds.n == 3 and ds.ambient_dim == 2
 
+    def test_header_after_blank_line_skipped(self, tmp_path):
+        # the header check applies to the first non-blank line, not file line 1
+        path = write(tmp_path, "b2.csv", "\nx,y\n0,0\n1,0\n0,1\n")
+        ds = load_dataset(path)
+        assert ds.n == 3 and ds.ambient_dim == 2
+        assert ds.points[0].tolist() == [0.0, 0.0]
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = write(tmp_path, "c.csv", "1,2\n3\n")
         with pytest.raises(ParseError) as exc:
@@ -115,6 +122,20 @@ class TestEstimateCommand:
         assert 0.9 <= report["estimate"]["d"] <= 1.2
         assert report["k_star"]["mean"] >= 2.0
         assert len(report["estimate"]["trace"]) >= 2
+
+    @pytest.mark.parametrize("method, extra", [
+        ("abide", []), ("bide-k", ["--k", "10", "--tau", "0.5"]),
+    ])
+    def test_trace_entries_hold_d_and_mean_k_star(self, runner, tmp_path, method, extra):
+        path, _ = self._torus_csv(tmp_path)
+        result = invoke(runner, [
+            "estimate", "--method", method, "--input", path, "--periodic", "1", *extra,
+        ])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["estimate"]["trace"]
+        for entry in report["estimate"]["trace"]:
+            assert set(entry) == {"d", "mean_k_star"}
 
     def test_degenerate_scale_exit_code(self, runner, tmp_path):
         path, _ = self._torus_csv(tmp_path)
@@ -294,6 +315,11 @@ class TestBenchmarkCommand:
         serial = run_benchmark(spec, "twonn", replicas=4, threads=1)
         parallel = run_benchmark(spec, "twonn", replicas=4, threads=2)
         assert [r["d"] for r in serial["per_replica"]] == [r["d"] for r in parallel["per_replica"]]
+
+    def test_threads_default_to_the_cores_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._threads_from(None) == 1
+        assert cli._threads_from(3) == 3
 
     def test_normality_requires_d_true(self):
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
