@@ -47,7 +47,18 @@ _ONSET_ROWS = 128
 
 THRESHOLD_MODES = ("fixed", "bonferroni_h", "bonferroni_n", "bonferroni_nh")
 
-METHODS = ("twonn", "bide-r", "bide-k", "abide", "agride", "babide")
+# the EstimatorConfig fields each method reads; a fixed-scale estimator takes
+# its fields, in this order, as the arguments after the graph
+_ADAPTIVE_OPTIONS = ("alpha", "k_max", "max_iter", "delta", "threshold_mode", "beta_ci")
+METHOD_OPTIONS = {
+    "twonn": ("beta_ci",),
+    "bide-r": ("tb", "tau", "beta_ci"),
+    "bide-k": ("k", "tau", "beta_ci"),
+    "abide": _ADAPTIVE_OPTIONS,
+    "agride": _ADAPTIVE_OPTIONS,
+    "babide": _ADAPTIVE_OPTIONS + ("alpha0", "beta0"),
+}
+METHODS = tuple(METHOD_OPTIONS)
 
 
 @dataclass
@@ -293,7 +304,7 @@ def check_options(method: str, config: EstimatorConfig) -> None:
     whose required options ``config`` leaves unset."""
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    for name in {"bide-r": ("tb", "tau"), "bide-k": ("k", "tau")}.get(method, ()):
+    for name in METHOD_OPTIONS[method]:
         if getattr(config, name) is None:
             raise InvalidArgumentError(f"--{name} is required for method {method}")
 
@@ -319,26 +330,18 @@ def required_depth(method: str, n: int, config: EstimatorConfig) -> int:
 
 
 def run_method(method: str, graph: NeighborGraph, config: EstimatorConfig) -> AbideResult:
-    """Run one of ``METHODS`` on ``graph``.
-
-    Every method takes its CI level from ``config.beta_ci``; bide-r also
-    needs ``config.tb`` and ``config.tau``, and bide-k ``config.k`` and
-    ``config.tau``.  The adaptive methods cap ``config.k_max`` at n - 2,
-    with a warning when that lowers it.
+    """Run one of ``METHODS`` on ``graph`` with the ``config`` fields that
+    ``METHOD_OPTIONS`` lists for it.  The adaptive methods cap
+    ``config.k_max`` at n - 2, with a warning when that lowers it.
     """
     check_options(method, config)
-    if method == "twonn":
-        return AbideResult(twonn_estimate(graph, beta=config.beta_ci))
-    if method == "bide-r":
-        return AbideResult(bide_fixed_radius(graph, config.tb, config.tau, config.beta_ci))
-    if method == "bide-k":
-        return AbideResult(bide_fixed_k(graph, config.k, config.tau, config.beta_ci))
+    # looked up at call time, so wrappers set on this module's attributes apply
+    fixed_scale = {"twonn": twonn_estimate, "bide-r": bide_fixed_radius, "bide-k": bide_fixed_k}
+    if method in fixed_scale:
+        args = [getattr(config, name) for name in METHOD_OPTIONS[method]]
+        return AbideResult(fixed_scale[method](graph, *args))
     k_max = required_depth(method, graph.n_points, config) - 1
     if k_max < config.k_max:
         warnings.warn(f"k_max clamped to {k_max} for n={graph.n_points}")
         config = replace(config, k_max=k_max)
-    if method == "abide":
-        return abide(graph, config)
-    if method == "agride":
-        return agride(graph, config)
-    return babide(graph, config)
+    return {"abide": abide, "agride": agride, "babide": babide}[method](graph, config)

@@ -243,14 +243,16 @@ def estimate(method, input_path, periodic, output, **opts):
     config = adaptive_mod.EstimatorConfig(**opts)
     dataset = load_dataset(input_path, _parse_periodic(periodic))
     graph, res, timing = _build_and_run(method, dataset, config)
-    echo = {_FLAG_NAMES.get(name, name): value for name, value in dataclasses.asdict(config).items()
-            if name != "depth"}
+    # the options the method read, with the k_max the adaptive loop ran with
+    values = {**dataclasses.asdict(config), "threshold_mode": _THRESHOLD_FLAGS[config.threshold_mode]}
+    if res.state is not None:
+        values["k_max"] = res.state.k_max
+    echo = {_FLAG_NAMES.get(name, name): values[name] for name in adaptive_mod.METHOD_OPTIONS[method]}
     report = {
         "schema_version": SCHEMA_VERSION,
         "method": method,
         "dataset": dataset_fingerprint(graph.dataset),
-        "config": {**echo, "threshold_mode": _THRESHOLD_FLAGS[config.threshold_mode],
-                   "periodic": periodic},
+        "config": {**echo, "periodic": periodic},
         "estimate": dataclasses.asdict(res.estimate),
         "timing": timing,
     }
@@ -278,8 +280,10 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
     adaptive estimate as the starred reference."""
     config = adaptive_mod.EstimatorConfig(**opts)
     dataset = load_dataset(input_path, _parse_periodic(periodic))
-    # one graph for the abide reference and a bide-r depth of grid radii
-    graph, ref, timing = _build_and_run("abide", dataset, config, depth=config.depth)
+    # one graph for the abide reference and the grid: --depth orders for the
+    # radii, and in k mode --k-max-scan orders when that is deeper
+    depth = config.depth if mode == "radius" else k_max_scan or 0
+    graph, ref, timing = _build_and_run("abide", dataset, config, depth=depth)
     tau = config.tau if config.tau is not None else estimators.optimal_tau(ref.estimate.d)
     if mode == "radius":
         lo = tb_min if tb_min is not None else float(np.median(graph.distances[:, 0]))
@@ -379,11 +383,11 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
         for r, s in enumerate(seeds)
     ]
     if threads > 1 and replicas > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the pool starts all its workers at once, so no more than there are replicas
+        with ProcessPoolExecutor(max_workers=min(threads, replicas)) as pool:
             results = list(pool.map(_benchmark_replica, payloads))
     else:
         results = [_benchmark_replica(p) for p in payloads]
-    results.sort(key=lambda r: r["replica"])
 
     ds = np.array([r["d"] for r in results])
     summary = {

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from idscale import adaptive as adaptive_mod
 from idscale import estimators
 from idscale.adaptive import (
     K_MIN,
+    METHOD_OPTIONS,
     METHODS,
     AbideResult,
     AdaptiveState,
@@ -159,6 +160,8 @@ class TestEstimatorConfig:
         ("tb", 0.0, "t_b must be positive"), ("tb", -1.0, "t_b must be positive"),
         ("k", 0, "k must be >= 1"), ("alpha0", 0.0, "prior parameters"),
         ("beta0", -1.0, "prior parameters"), ("depth", 0, "depth must be >= 1"),
+        ("max_iter", 0, "max_iter must be >= 1"), ("delta", 0.0, "delta > 0"),
+        ("beta_ci", 0.0, "beta_ci must lie in"), ("beta_ci", 1.0, "beta_ci must lie in"),
     ])
     def test_method_option_validation(self, field, value, message):
         with pytest.raises(InvalidArgumentError, match=message):
@@ -479,3 +482,32 @@ class TestRunMethod:
             strong = run_method("babide", graph, replace(FIXED_SCALE, alpha0=50.0))
         # the first update is the posterior mean, which the prior moves
         assert flat.estimate.trace[1].d != strong.estimate.trace[1].d
+
+
+# a config every method runs with, and for each EstimatorConfig field a value
+# that moves the estimate of a method that reads the field
+OPTION_BASE = EstimatorConfig(k_max=120, tau=0.5, tb=0.2, k=20)
+OPTION_CHANGES = {
+    "alpha": 0.05, "k_max": 100, "max_iter": 2, "delta": 1e-2, "tau": 0.4, "tb": 0.25,
+    "k": 30, "alpha0": 3.0, "beta0": 2.0, "beta_ci": 0.2, "threshold_mode": "bonferroni_n",
+    "depth": 200,
+}
+
+
+class TestMethodOptions:
+    @pytest.fixture(scope="class")
+    def torus_400(self):
+        return build_neighbor_graph(gen_uniform_hypercube_periodic(n=400, d=3, seed=2), K=150)
+
+    def test_every_field_is_varied(self):
+        assert set(OPTION_CHANGES) == {f.name for f in fields(EstimatorConfig)}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_estimate_moves_exactly_with_the_listed_fields(self, torus_400, method):
+        def estimate(config):
+            return asdict(run_method(method, torus_400, config).estimate)
+
+        base = estimate(OPTION_BASE)
+        moved = {name for name, value in OPTION_CHANGES.items()
+                 if estimate(replace(OPTION_BASE, **{name: value})) != base}
+        assert moved == set(METHOD_OPTIONS[method])

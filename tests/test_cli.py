@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from idscale import cli, datagen, estimators
-from idscale.adaptive import EstimatorConfig, run_method
+from idscale.adaptive import METHOD_OPTIONS, METHODS, EstimatorConfig, run_method
 from idscale.cli import load_dataset, main, run_benchmark, save_dataset_csv
 from idscale.errors import InvalidArgumentError, ParseError
 from idscale.geometry import Dataset, build_neighbor_graph
@@ -68,10 +68,26 @@ class TestLoadDataset:
         with pytest.raises(ParseError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\n", "x,y\n"], ids=["empty", "blank", "header"])
+    def test_no_rows_is_a_parse_error(self, runner, tmp_path, text):
+        path = write(tmp_path, "empty.csv", text)
+        with pytest.raises(ParseError, match="empty file") as exc:
+            load_dataset(path)
+        assert exc.value.line == 1
+        result = invoke(runner, ["estimate", "--method", "twonn", "--input", path])
+        assert result.exit_code == 9
+        assert error_json(result) == {"error": "parse-error", "message": "empty file", "line": 1}
+
     def test_single_period_broadcast(self, tmp_path):
         path = write(tmp_path, "f.csv", "0.1,0.2\n0.9,0.8\n0.5,0.5\n")
         ds = load_dataset(path, periodic=[1.0])
         assert np.array_equal(ds.periods, np.ones(2))
+
+    def test_period_per_column(self, tmp_path):
+        path = write(tmp_path, "f.csv", "0.1,0.2\n0.9,0.8\n0.5,0.5\n")
+        assert load_dataset(path, periodic=[1.0, 2.0]).periods.tolist() == [1.0, 2.0]
+        with pytest.raises(InvalidArgumentError, match="--periodic needs 1 or 2 values, got 3"):
+            load_dataset(path, periodic=[1.0, 2.0, 3.0])
 
     def test_byte_order_mark_keeps_first_row(self, tmp_path):
         # spreadsheet exports start a headerless CSV with a UTF-8 BOM
@@ -187,8 +203,26 @@ class TestEstimateCommand:
         report = json.loads(result.stdout)
         assert report["dataset"]["n"] == 290
         assert ("k_max clamped to 288 for n=290" in [str(w.message) for w in caught]) == clamped
+        if clamped and args[0] == "estimate":
+            # the k_max the loop ran with, which k_star.saturation_fraction reads
+            assert report["config"]["kmax"] == 288
         if args[0] == "scan":
             assert report["entries"][-1]["k"] == 288
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_config_echoes_the_options_the_method_read(self, runner, tmp_path, method):
+        path, _ = self._torus_csv(tmp_path, n=300)
+        result = invoke(runner, [
+            "estimate", "--method", method, "--input", path, "--periodic", "1", "--kmax", "60",
+            "--tb", "0.1", "--tau", "0.5", "--k", "10", "--threshold-mode", "bonf-h",
+        ])
+        assert result.exit_code == 0, result.output
+        config = json.loads(result.stdout)["config"]
+        flags = {cli._FLAG_NAMES.get(name, name) for name in METHOD_OPTIONS[method]}
+        assert set(config) == flags | {"periodic"}
+        assert config["periodic"] == "1"
+        if "threshold_mode" in config:
+            assert config["threshold_mode"] == "bonf-h"
 
     def test_parse_error_exit_code(self, runner, tmp_path):
         path = write(tmp_path, "bad.csv", "1,2\n3\n")
@@ -271,6 +305,29 @@ class TestScanCommand:
             assert wide["d"] == narrow["d"]
             assert wide["ci"][0] < narrow["ci"][0] < narrow["ci"][1] < wide["ci"][1]
 
+    @pytest.mark.parametrize("args, depth", [
+        (["--mode", "k"], 61),
+        (["--mode", "k", "--k-max-scan", "40"], 61),
+        (["--mode", "k", "--k-max-scan", "100"], 100),
+        (["--mode", "radius", "--depth", "120"], 120),
+    ], ids=["k", "k-max-scan-40", "k-max-scan-100", "radius-depth-120"])
+    def test_graph_depth(self, runner, tmp_path, monkeypatch, args, depth):
+        # k mode reads up to kmax + 1 orders, or --k-max-scan; radius mode --depth
+        built = []
+
+        def recording(dataset, K):
+            built.append(K)
+            return build_neighbor_graph(dataset, K)
+
+        monkeypatch.setattr(cli, "build_neighbor_graph", recording)
+        path = str(tmp_path / "torus.csv")
+        save_dataset_csv(datagen.gen_uniform_hypercube_periodic(n=300, d=2, seed=2), path)
+        result = invoke(runner, [
+            "scan", *args, "--input", path, "--periodic", "1", "--grid-size", "3", "--kmax", "60",
+        ])
+        assert result.exit_code == 0, result.output
+        assert built == [depth]
+
     @pytest.mark.parametrize("grid_size", ["-1", "0"])
     def test_bad_grid_size_checked_before_graph(self, runner, tmp_path, monkeypatch, grid_size):
         def no_graph(*args):
@@ -315,6 +372,30 @@ class TestBenchmarkCommand:
         serial = run_benchmark(spec, "twonn", replicas=4, threads=1)
         parallel = run_benchmark(spec, "twonn", replicas=4, threads=2)
         assert [r["d"] for r in serial["per_replica"]] == [r["d"] for r in parallel["per_replica"]]
+
+    def test_pool_sized_by_replicas(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=200, d=2, seed=4)
+        summary = run_benchmark(spec, "twonn", replicas=3, threads=8)
+        assert sizes == [3]
+        assert [r["replica"] for r in summary["per_replica"]] == [0, 1, 2]
 
     def test_threads_default_to_the_cores_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -452,6 +533,7 @@ class TestOptionsCheckedBeforeGraph:
         ["estimate", "--method", "bide-r", "--tau", "0.5"],
         ["estimate", "--method", "bide-k", "--k", "5", "--tau", "1.5"],
         ["estimate", "--method", "bide-r", "--tb", "0.1", "--tau", "0.5", "--depth", "0"],
+        ["estimate", "--method", "twonn", "--periodic", "1,2,3"],
     ], ids=" ".join)
     def test_cli_exit_code(self, runner, tmp_path, no_graph, args):
         path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n")
