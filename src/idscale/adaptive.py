@@ -63,7 +63,8 @@ METHODS = tuple(METHOD_OPTIONS)
 
 @dataclass
 class EstimatorConfig:
-    """Every estimator option, in the order of the CLI's flags."""
+    """Every estimator option, in the order of the CLI's flags; each is
+    read by at least one method in ``METHOD_OPTIONS``."""
 
     alpha: float = 0.01
     k_max: int = 350
@@ -76,7 +77,6 @@ class EstimatorConfig:
     beta0: float = BETA_PRIOR
     beta_ci: float = BETA_CI
     threshold_mode: str = "fixed"
-    depth: int = 512
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -97,8 +97,6 @@ class EstimatorConfig:
             raise InvalidArgumentError(f"k must be >= 1, got {self.k}")
         if self.alpha0 <= 0 or self.beta0 <= 0:
             raise InvalidArgumentError("prior parameters must be positive")
-        if self.depth < 1:
-            raise InvalidArgumentError(f"depth must be >= 1, got {self.depth}")
 
     def rejection_threshold(self, n: int) -> float:
         """D_thr for a dataset of size n, honouring the Bonferroni mode."""
@@ -310,23 +308,23 @@ def check_options(method: str, config: EstimatorConfig) -> None:
 
 
 def required_depth(method: str, n: int, config: EstimatorConfig) -> int:
-    """Neighbour orders ``method`` needs stored for n distinct points;
-    bide-r stores ``config.depth``, as its radii have no natural bound.
-    The adaptive methods need K_MIN + 2 points, else the dataset is
-    degenerate."""
+    """Neighbour orders ``method`` reads for n distinct points, capped at
+    n - 1: 2 for twonn, max(k, 2) for bide-k, and k_max + 1 for bide-r's
+    outer ball and the adaptive tests.  Too few points for twonn's 2 or a
+    test's K_MIN + 1 neighbours make the dataset degenerate."""
     check_options(method, config)
     if method == "twonn":
-        return 2
-    if method == "bide-k":
-        return min(n - 1, max(config.k, 2))
-    if method == "bide-r":
-        return min(n - 1, config.depth)
-    if n < K_MIN + 2:
+        need = 2
+    elif method == "bide-k":
+        need = max(config.k, 2)
+    else:
+        need = config.k_max + 1
+    fewest = {"twonn": 2, "bide-r": 1, "bide-k": 1}.get(method, K_MIN + 1)
+    if n <= fewest:
         raise DegenerateDatasetError(
-            f"{method} needs at least {K_MIN + 2} distinct points, got {n}"
+            f"{method} needs at least {fewest + 1} distinct points, got {n}"
         )
-    # k_max capped at n - 2: a test of order k needs k + 1 neighbours
-    return min(config.k_max, n - 2) + 1
+    return min(n - 1, need)
 
 
 def run_method(method: str, graph: NeighborGraph, config: EstimatorConfig) -> AbideResult:
@@ -334,13 +332,13 @@ def run_method(method: str, graph: NeighborGraph, config: EstimatorConfig) -> Ab
     ``METHOD_OPTIONS`` lists for it.  The adaptive methods cap
     ``config.k_max`` at n - 2, with a warning when that lowers it.
     """
-    check_options(method, config)
+    # the orders the method reads, less one: an adaptive method's capped k_max
+    k_max = required_depth(method, graph.n_points, config) - 1
     # looked up at call time, so wrappers set on this module's attributes apply
     fixed_scale = {"twonn": twonn_estimate, "bide-r": bide_fixed_radius, "bide-k": bide_fixed_k}
     if method in fixed_scale:
         args = [getattr(config, name) for name in METHOD_OPTIONS[method]]
         return AbideResult(fixed_scale[method](graph, *args))
-    k_max = required_depth(method, graph.n_points, config) - 1
     if k_max < config.k_max:
         warnings.warn(f"k_max clamped to {k_max} for n={graph.n_points}")
         config = replace(config, k_max=k_max)

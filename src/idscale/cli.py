@@ -48,27 +48,30 @@ def load_dataset(path: str, periodic: list[float] | None = None) -> Dataset:
     width = None
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                # the first non-blank line sets the width; a header row is skipped
-                width = len(cells)
-                try:
-                    float(cells[0])
-                except ValueError:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
                     continue
-            elif len(cells) != width:
-                raise ParseError(f"ragged row: expected {width} columns", line=lineno)
-            try:
-                values = [float(c) for c in cells]
-            except ValueError as err:
-                raise ParseError(f"non-numeric cell: {err}", line=lineno) from err
-            if not all(map(math.isfinite, values)):
-                raise ParseError("non-finite value", line=lineno)
-            rows.append(values)
+                cells = line.split(",")
+                if width is None:
+                    # the first non-blank line sets the width; a header row is skipped
+                    width = len(cells)
+                    try:
+                        float(cells[0])
+                    except ValueError:
+                        continue
+                elif len(cells) != width:
+                    raise ParseError(f"ragged row: expected {width} columns", line=lineno)
+                try:
+                    values = [float(c) for c in cells]
+                except ValueError as err:
+                    raise ParseError(f"non-numeric cell: {err}", line=lineno) from err
+                if not all(map(math.isfinite, values)):
+                    raise ParseError("non-finite value", line=lineno)
+                rows.append(values)
+        except UnicodeDecodeError as err:
+            raise ParseError(f"not UTF-8 text: {err}") from None
     if not rows:
         raise ParseError("empty file", line=1)
     pts = np.array(rows, dtype=np.float64)
@@ -85,8 +88,17 @@ def load_dataset(path: str, periodic: list[float] | None = None) -> Dataset:
     return Dataset(pts, periods=periods)
 
 
+def _open_output(path: str):
+    """Open ``path`` for writing; one in a missing directory is a bad argument."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise InvalidArgumentError(f"cannot write {path}: {err.strerror}") from None
+
+
 def save_dataset_csv(dataset: Dataset, path: str) -> None:
-    np.savetxt(path, dataset.points, delimiter=",", fmt="%.17g")
+    with _open_output(path) as fh:
+        np.savetxt(fh, dataset.points, delimiter=",", fmt="%.17g")
 
 
 def dataset_fingerprint(dataset: Dataset) -> dict:
@@ -128,7 +140,7 @@ def _emit(payload: dict, output: str | None) -> None:
     if output is None or output == "-":
         click.echo(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
+        with _open_output(output) as fh:
             fh.write(text + "\n")
 
 
@@ -152,12 +164,9 @@ def _threads_from(option_value: int | None) -> int:
 
 def _build_and_run(method: str, dataset: Dataset, config: adaptive_mod.EstimatorConfig,
                    depth: int = 0):
-    """Run ``method`` on a graph deep enough for it and for ``depth``
-    neighbour orders, both capped at the number of distinct points - 1.
-
-    Returns the graph, the ``AbideResult`` and the graph and estimate wall
-    times.
-    """
+    """Run ``method`` on a graph of the orders it reads (``required_depth``),
+    or of ``depth`` orders where deeper (at most n - 1); return the graph,
+    the ``AbideResult`` and the graph and estimate wall times."""
     t0 = time.perf_counter()
     dataset = geometry.deduplicate(dataset)
     graph = build_neighbor_graph(dataset, max(
@@ -221,8 +230,6 @@ def _estimator_options(*skip):
             if field.name == "threshold_mode":
                 kind, default = click.Choice(list(_THRESHOLD_MODES)), _THRESHOLD_FLAGS[default]
                 extra["callback"] = lambda _ctx, _param, flag: _THRESHOLD_MODES[flag]
-            elif field.name == "depth":
-                extra["help"] = "stored neighbour orders for bide-r"
             fn = click.option(
                 "--" + _FLAG_NAMES.get(field.name, field.name).replace("_", "-"), field.name,
                 type=kind, default=default, show_default=True, **extra,
@@ -234,7 +241,7 @@ def _estimator_options(*skip):
 
 @main.command()
 @click.option("--method", type=click.Choice(list(METHODS)), required=True)
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--periodic", type=str, default=None, help=_PERIODIC_HELP)
 @click.option("--output", type=str, default=None, help="report path or - for stdout")
 @_estimator_options()
@@ -265,13 +272,14 @@ def estimate(method, input_path, periodic, output, **opts):
 
 @main.command()
 @click.option("--mode", type=click.Choice(["radius", "k"]), required=True)
-@click.option("--input", "input_path", type=click.Path(exists=True), required=True)
+@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--periodic", type=str, default=None, help=_PERIODIC_HELP)
 @click.option("--grid-size", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--tb-min", type=click.FloatRange(min=0, min_open=True), default=None)
 @click.option("--tb-max", type=click.FloatRange(min=0, min_open=True), default=None)
 @click.option("--k-min", type=int, default=2, show_default=True)
-@click.option("--k-max-scan", type=click.IntRange(min=2), default=None)
+@click.option("--k-max-scan", type=click.IntRange(min=2), default=None,
+              help="top of the k grid; both modes read this many orders if abide reads fewer")
 @click.option("--output", type=str, default=None)
 @_estimator_options("tb", "k", "alpha0", "beta0")
 def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_scan,
@@ -280,17 +288,15 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
     adaptive estimate as the starred reference."""
     config = adaptive_mod.EstimatorConfig(**opts)
     dataset = load_dataset(input_path, _parse_periodic(periodic))
-    # one graph for the abide reference and the grid: --depth orders for the
-    # radii, and in k mode --k-max-scan orders when that is deeper
-    depth = config.depth if mode == "radius" else k_max_scan or 0
-    graph, ref, timing = _build_and_run("abide", dataset, config, depth=depth)
+    # one graph for the abide reference and the grid, deepened by --k-max-scan
+    graph, ref, timing = _build_and_run("abide", dataset, config, depth=k_max_scan or 0)
     tau = config.tau if config.tau is not None else estimators.optimal_tau(ref.estimate.d)
     if mode == "radius":
         lo = tb_min if tb_min is not None else float(np.median(graph.distances[:, 0]))
         hi = tb_max if tb_max is not None else float(graph.distances[:, -1].min())
         method, key, field, grid = "bide-r", "t_b", "tb", np.geomspace(lo, hi, grid_size)
     else:
-        hi = k_max_scan if k_max_scan is not None else min(ref.state.k_max, graph.depth)
+        hi = k_max_scan or ref.state.k_max
         method, key, field = "bide-k", "k", "k"
         grid = np.unique(np.geomspace(max(2, k_min), hi, grid_size).astype(int))
     entries = []
@@ -361,22 +367,17 @@ def _benchmark_replica(payload: dict) -> dict:
 
 
 def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
-                  threads: int = 1, normality: bool = False, d_true: float | None = None,
+                  threads: int = 1, d_true: float | None = None,
                   estimator_cfg: dict | None = None) -> dict:
-    """Seeded Monte Carlo replicas of one generator/method pair;
-    ``estimator_cfg`` maps ``EstimatorConfig`` fields to values, and every
-    replica runs with that one config on its own generator seed."""
+    """Seeded Monte Carlo replicas of one generator/method pair, each with
+    ``estimator_cfg`` (``EstimatorConfig`` fields) on its own generator seed;
+    ``d_true`` adds the pivot normality check."""
     config = adaptive_mod.EstimatorConfig(**(estimator_cfg or {}))
     adaptive_mod.check_options(method, config)
     if replicas < 1:
         raise InvalidArgumentError(f"--replicas must be >= 1, got {replicas}")
-    if normality:
-        if d_true is None:
-            raise InvalidArgumentError("--normality requires --d-true")
-        if method == "twonn":
-            raise InvalidArgumentError(
-                "--normality needs a method that reports fisher_info, not twonn"
-            )
+    if d_true is not None and method == "twonn":
+        raise InvalidArgumentError("--d-true needs a method that reports fisher_info, not twonn")
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(spec.seed).spawn(replicas)]
     payloads = [
         {"spec": dataclasses.replace(spec, seed=s), "method": method, "config": config, "replica": r}
@@ -402,7 +403,7 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
             "q995": float(np.quantile(ds, 0.995)),
         },
     }
-    if normality:
+    if d_true is not None:
         z = np.array([
             np.sqrt(r["n"] * r["fisher_info"]) * (r["d"] - d_true) for r in results
         ])
@@ -419,18 +420,16 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
 @click.option("--replicas", type=int, default=1, show_default=True)
 @click.option("--threads", type=click.IntRange(min=1), default=None,
               help="defaults to available cores")
-@click.option("--normality", is_flag=True, default=False)
-@click.option("--d-true", type=float, default=None)
+@click.option("--d-true", type=float, default=None,
+              help="true ID: adds the pivot normality check (not for twonn)")
 @click.option("--output", type=str, default=None)
 @_estimator_options()
 def benchmark(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed, method,
-              replicas, threads, normality, d_true, output, **opts):
+              replicas, threads, d_true, output, **opts):
     """Monte Carlo benchmark with deterministic per-replica seed streams."""
     spec = datagen.GeneratorSpec(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed)
-    _emit(run_benchmark(
-        spec, method, replicas, threads=_threads_from(threads),
-        normality=normality, d_true=d_true, estimator_cfg=opts,
-    ), output)
+    _emit(run_benchmark(spec, method, replicas, threads=_threads_from(threads), d_true=d_true,
+                        estimator_cfg=opts), output)
 
 
 @main.command()
@@ -447,7 +446,7 @@ def generate(output, **fields):
         **{key: value for key, value in dataclasses.asdict(spec).items() if key != "kind"},
         "periodic": dataset.periods.tolist() if dataset.periods is not None else None,
     }
-    with open(output + ".json", "w", encoding="utf-8") as fh:
+    with _open_output(output + ".json") as fh:
         json.dump(sidecar, fh, indent=2)
     click.echo(f"wrote {dataset.n} x {dataset.ambient_dim} points to {output}")
 

@@ -126,7 +126,7 @@ def test_criterion_05_asymptotic_normality():
     # D_thr = 23.928 (alpha = 1e-6): normality is not promised at the default
     # alpha = 0.01, whose false rejections on this uniform torus bias d
     summary = run_benchmark(
-        spec, "abide", replicas=200, threads=THREADS, normality=True, d_true=5.0,
+        spec, "abide", replicas=200, threads=THREADS, d_true=5.0,
         estimator_cfg={"alpha": 1e-6},
     )
     z = np.array(summary["normality"]["z"])

@@ -159,7 +159,7 @@ class TestEstimatorConfig:
         ("tau", 0.0, "tau must lie in"), ("tau", 1.0, "tau must lie in"),
         ("tb", 0.0, "t_b must be positive"), ("tb", -1.0, "t_b must be positive"),
         ("k", 0, "k must be >= 1"), ("alpha0", 0.0, "prior parameters"),
-        ("beta0", -1.0, "prior parameters"), ("depth", 0, "depth must be >= 1"),
+        ("beta0", -1.0, "prior parameters"),
         ("max_iter", 0, "max_iter must be >= 1"), ("delta", 0.0, "delta > 0"),
         ("beta_ci", 0.0, "beta_ci must lie in"), ("beta_ci", 1.0, "beta_ci must lie in"),
     ])
@@ -381,6 +381,22 @@ def relabelled_gaussian():
     return graph, build_neighbor_graph(Dataset(pts[perm]), K=101), perm, config
 
 
+@pytest.fixture(scope="module", params=["euclidean", "periodic"])
+def translated(request):
+    """A K = 101 graph, the graph of the same points translated, and a
+    config for every method.  The coordinates sit on a dyadic grid, so the
+    translation and every coordinate difference are exact."""
+    rng = np.random.default_rng(13)
+    if request.param == "euclidean":
+        pts, shift, periods = np.round(rng.normal(size=(400, 3)) * 2**20) / 2**20, 1024.0, None
+    else:
+        pts, shift, periods = np.floor(rng.random((400, 3)) * 2**16) / 2**16, 0.25, np.ones(3)
+    graph = build_neighbor_graph(Dataset(pts, periods), K=101)
+    config = EstimatorConfig(k_max=100, tau=0.5, k=20,
+                             tb=float(np.median(graph.distances[:, 20])))
+    return graph, build_neighbor_graph(Dataset(pts + shift, periods), K=101), config
+
+
 class TestFitCheck:
     @pytest.mark.parametrize("max_iter", [1, 5])
     @pytest.mark.parametrize("method", [abide, babide, agride])
@@ -442,6 +458,13 @@ class TestRunMethod:
             assert np.array_equal(permuted.state.k_star, base.state.k_star[perm])
             assert np.array_equal(permuted.state.ka_star, base.state.ka_star[perm])
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_translation_is_bit_exact(self, translated, method):
+        graph, moved_graph, config = translated
+        base = run_method(method, graph, config)
+        moved = run_method(method, moved_graph, config)
+        assert asdict(moved.estimate) == asdict(base.estimate)
+
     @pytest.mark.parametrize("method, missing", [
         ("bide-r", "tb"), ("bide-r", "tau"), ("bide-k", "k"), ("bide-k", "tau"),
     ])
@@ -467,6 +490,15 @@ class TestRunMethod:
             required_depth(method, 3, FIXED_SCALE)
         assert required_depth(method, 4, FIXED_SCALE) == 3
 
+    def test_twonn_needs_three_points(self):
+        graph = build_neighbor_graph(Dataset(np.array([[0.0, 0.0], [1.0, 0.0]])), 1)
+        message = "twonn needs at least 3 distinct points, got 2"
+        with pytest.raises(DegenerateDatasetError, match=message):
+            run_method("twonn", graph, FIXED_SCALE)
+        with pytest.raises(DegenerateDatasetError, match=message):
+            required_depth("twonn", 2, FIXED_SCALE)
+        assert required_depth("twonn", 3, FIXED_SCALE) == 2
+
     def test_unknown_method(self, torus_150):
         graph = build_neighbor_graph(torus_150, 149)
         with pytest.raises(InvalidArgumentError, match="unknown method"):
@@ -490,7 +522,6 @@ OPTION_BASE = EstimatorConfig(k_max=120, tau=0.5, tb=0.2, k=20)
 OPTION_CHANGES = {
     "alpha": 0.05, "k_max": 100, "max_iter": 2, "delta": 1e-2, "tau": 0.4, "tb": 0.25,
     "k": 30, "alpha0": 3.0, "beta0": 2.0, "beta_ci": 0.2, "threshold_mode": "bonferroni_n",
-    "depth": 200,
 }
 
 
@@ -500,7 +531,10 @@ class TestMethodOptions:
         return build_neighbor_graph(gen_uniform_hypercube_periodic(n=400, d=3, seed=2), K=150)
 
     def test_every_field_is_varied(self):
-        assert set(OPTION_CHANGES) == {f.name for f in fields(EstimatorConfig)}
+        # and read by some method, so no field is an option that no estimate sees
+        names = {f.name for f in fields(EstimatorConfig)}
+        assert set(OPTION_CHANGES) == names
+        assert set().union(*METHOD_OPTIONS.values()) == names
 
     @pytest.mark.parametrize("method", METHODS)
     def test_estimate_moves_exactly_with_the_listed_fields(self, torus_400, method):

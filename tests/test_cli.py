@@ -309,10 +309,11 @@ class TestScanCommand:
         (["--mode", "k"], 61),
         (["--mode", "k", "--k-max-scan", "40"], 61),
         (["--mode", "k", "--k-max-scan", "100"], 100),
-        (["--mode", "radius", "--depth", "120"], 120),
-    ], ids=["k", "k-max-scan-40", "k-max-scan-100", "radius-depth-120"])
+        (["--mode", "radius"], 61),
+        (["--mode", "radius", "--k-max-scan", "120"], 120),
+    ], ids=["k", "k-max-scan-40", "k-max-scan-100", "radius", "radius-k-max-scan-120"])
     def test_graph_depth(self, runner, tmp_path, monkeypatch, args, depth):
-        # k mode reads up to kmax + 1 orders, or --k-max-scan; radius mode --depth
+        # both modes read up to kmax + 1 orders, or --k-max-scan where deeper
         built = []
 
         def recording(dataset, K):
@@ -402,20 +403,15 @@ class TestBenchmarkCommand:
         assert cli._threads_from(None) == 1
         assert cli._threads_from(3) == 3
 
-    def test_normality_requires_d_true(self):
-        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
-        with pytest.raises(Exception):
-            run_benchmark(spec, "twonn", replicas=2, threads=1, normality=True)
-
-    @pytest.mark.parametrize("method, d_true", [("abide", None), ("twonn", 2.0)])
+    @pytest.mark.parametrize("method, d_true", [("twonn", 2.0)])
     def test_normality_checked_before_replicas(self, monkeypatch, method, d_true):
         def no_replica(payload):
-            raise AssertionError("a replica ran before the --normality checks")
+            raise AssertionError("a replica ran before the --d-true check")
 
         monkeypatch.setattr(cli, "_benchmark_replica", no_replica)
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
         with pytest.raises(InvalidArgumentError):
-            run_benchmark(spec, method, replicas=2, threads=1, normality=True, d_true=d_true)
+            run_benchmark(spec, method, replicas=2, threads=1, d_true=d_true)
 
     @pytest.mark.parametrize("replicas", [0, -3])
     def test_bad_replica_count_checked_before_replicas(self, runner, monkeypatch, replicas):
@@ -437,20 +433,26 @@ class TestBenchmarkCommand:
         result = invoke(runner, [
             "benchmark", "--generator", "uniform_hypercube_periodic", "--n", "200",
             "--d", "2", "--method", "twonn", "--replicas", "2", "--threads", "1",
-            "--normality", "--d-true", "2",
+            "--d-true", "2",
         ])
         assert result.exit_code == 2
         err = json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
         assert err["error"] == "invalid-argument"
+        assert "twonn" in err["message"] and "fisher_info" in err["message"]
 
     def test_normality_payload(self):
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=400, d=2, seed=6)
         summary = run_benchmark(
-            spec, "bide-k", replicas=3, threads=1, normality=True, d_true=2.0,
+            spec, "bide-k", replicas=3, threads=1, d_true=2.0,
             estimator_cfg={"k": 20, "tau": 0.45},
         )
         assert len(summary["normality"]["z"]) == 3
         assert 0.0 <= summary["normality"]["ks_p_value"] <= 1.0
+
+    def test_no_normality_without_d_true(self):
+        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=6)
+        summary = run_benchmark(spec, "abide", replicas=2, threads=1, estimator_cfg={"k_max": 60})
+        assert "normality" not in summary
 
     def test_cli_wrapper(self, runner):
         result = invoke(runner, [
@@ -513,8 +515,8 @@ class TestEstimatorDefaults:
 
 class TestOptionsCheckedBeforeGraph:
     """Bad estimator options and a fixed-scale method's missing options end
-    in exit 2, and too few points for an adaptive method in exit 3, before
-    any graph is built or replica runs."""
+    in exit 2, and too few points for twonn or an adaptive method in exit 3,
+    before any graph is built or replica runs."""
 
     @pytest.fixture()
     def no_graph(self, monkeypatch):
@@ -532,7 +534,6 @@ class TestOptionsCheckedBeforeGraph:
         ["estimate", "--method", "babide", "--alpha0", "-1"],
         ["estimate", "--method", "bide-r", "--tau", "0.5"],
         ["estimate", "--method", "bide-k", "--k", "5", "--tau", "1.5"],
-        ["estimate", "--method", "bide-r", "--tb", "0.1", "--tau", "0.5", "--depth", "0"],
         ["estimate", "--method", "twonn", "--periodic", "1,2,3"],
     ], ids=" ".join)
     def test_cli_exit_code(self, runner, tmp_path, no_graph, args):
@@ -551,6 +552,15 @@ class TestOptionsCheckedBeforeGraph:
         assert error_json(result) == {
             "error": "degenerate-dataset",
             "message": f"{method} needs at least 4 distinct points, got 3",
+        }
+
+    def test_twonn_on_two_points(self, runner, tmp_path, no_graph):
+        path = write(tmp_path, "a.csv", "0,0\n1,0\n1,0\n")
+        result = invoke(runner, ["estimate", "--method", "twonn", "--input", path])
+        assert result.exit_code == 3
+        assert error_json(result) == {
+            "error": "degenerate-dataset",
+            "message": "twonn needs at least 3 distinct points, got 2",
         }
 
     @pytest.mark.parametrize("args, cfg", [
@@ -606,6 +616,61 @@ class TestUsageErrors:
         result = invoke(runner, command + ["--help"])
         assert result.exit_code == 0
         assert result.stdout.startswith("Usage:")
+
+
+class TestFileErrors:
+    """A path that cannot be read or written ends in a typed error: a
+    directory as input or an unwritable output is ``invalid-argument``
+    (exit 2), and a CSV that is not UTF-8 a ``parse-error`` (exit 9)."""
+
+    @pytest.fixture()
+    def torus_csv(self, tmp_path):
+        path = str(tmp_path / "torus.csv")
+        save_dataset_csv(datagen.gen_uniform_hypercube_periodic(n=200, d=2, seed=1), path)
+        return path
+
+    @pytest.mark.parametrize("command", [["estimate", "--method", "twonn"], ["scan", "--mode", "k"]],
+                             ids=lambda v: v[0])
+    def test_directory_as_input(self, runner, tmp_path, command):
+        result = invoke(runner, command + ["--input", str(tmp_path)])
+        assert result.exit_code == 2
+        err = error_json(result)
+        assert err["error"] == "invalid-argument" and "--input" in err["message"]
+
+    def test_not_utf8_is_a_parse_error(self, runner, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,\u00e9t\u00e9\n0,0\n1,0\n0,1\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_dataset(str(path))
+        result = invoke(runner, ["estimate", "--method", "twonn", "--input", str(path)])
+        assert result.exit_code == 9
+        assert error_json(result)["error"] == "parse-error"
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--method", "twonn"],
+        ["scan", "--mode", "k", "--kmax", "30", "--grid-size", "2"],
+        ["benchmark", "--generator", "sine_toy", "--n", "100", "--method", "twonn",
+         "--threads", "1"],
+        ["generate", "--generator", "sine_toy", "--n", "100"],
+    ], ids=lambda v: v[0])
+    def test_output_in_missing_directory(self, runner, tmp_path, torus_csv, command):
+        if command[0] in ("estimate", "scan"):
+            command = command + ["--input", torus_csv, "--periodic", "1"]
+        out = str(tmp_path / "missing" / "out.json")
+        result = invoke(runner, command + ["--output", out])
+        assert result.exit_code == 2
+        err = error_json(result)
+        assert err["error"] == "invalid-argument" and out in err["message"]
+
+    def test_unwritable_sidecar(self, runner, tmp_path):
+        out = tmp_path / "g.csv"
+        (tmp_path / "g.csv.json").mkdir()
+        result = invoke(runner, [
+            "generate", "--generator", "sine_toy", "--n", "100", "--output", str(out),
+        ])
+        assert result.exit_code == 2
+        err = error_json(result)
+        assert err["error"] == "invalid-argument" and str(out) + ".json" in err["message"]
 
 
 class TestGenerateCommand:
