@@ -149,16 +149,39 @@ def _require_depth(graph: NeighborGraph, k_max: int) -> None:
         )
 
 
-def _rejection_onsets(graph: NeighborGraph, config: EstimatorConfig) -> np.ndarray:
-    """Per point (rows), the smallest d at which some test of order
-    K_MIN .. k (columns, k up to k_max) rejects.
+def _flat_positions(indices: np.ndarray, depth: int, ks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the flat positions ``j * depth + k - 1`` of r_{j,k} in the
+    raveled distances into ``out`` (int64), one per index j and order k.
+
+    The product is taken in int64 whatever the index dtype: an int32 loop
+    would wrap past 2^31 before the cast, and a "clip" gather would then
+    read a wrong radius without any error."""
+    np.multiply(indices, depth, out=out, dtype=np.int64)
+    out += ks - 1
+    return out
+
+
+def _rejection_onsets(
+    graph: NeighborGraph, config: EstimatorConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point, the smallest d at which some test of order K_MIN .. k
+    (k up to k_max) rejects, as a non-increasing step function of k.
 
     With delta the log-radius gap |log r_{i,k} - log r_{j,k}|, the Wilks
     statistic equals 4k log cosh(d delta / 2), which increases with d, so
     the test at order k rejects exactly when d >= u_k / delta with
     u_k = 2 arccosh(exp(D_thr / 4k)).  A zero gap never rejects (onset
     +inf).  The running minimum along k makes each row non-increasing, so
-    the tests passed before the first rejection at d are the entries > d.
+    the tests passed before the first rejection at d are the orders whose
+    running minimum is > d.
+
+    Only the places where a row's running minimum steps down are kept, in
+    CSR form.  Returns ``(values, cols, row_ptr)``: every row's step values
+    and the columns k - K_MIN where the steps start, in row order, and the
+    position of row i's first step at ``row_ptr[i]``.  Every row has a step
+    at column 0, so ``row_ptr`` is strictly increasing.  Rows are built in
+    blocks, so neither the onsets nor their flat positions are ever an
+    n-row temporary.
     """
     k_max = config.k_max
     _require_depth(graph, k_max)
@@ -166,18 +189,21 @@ def _rejection_onsets(graph: NeighborGraph, config: EstimatorConfig) -> np.ndarr
     t = config.rejection_threshold(graph.n_points) / (4.0 * ks)
     # arccosh(e^t) = t + log1p(sqrt(1 - e^-2t)): no cancellation, no overflow
     u = 2.0 * (t + np.log1p(np.sqrt(-np.expm1(-2.0 * t))))
-    onsets = np.empty((graph.n_points, ks.size))
     radii = graph.distances.ravel()
-    flat = np.empty((min(_ONSET_ROWS, graph.n_points), ks.size), dtype=np.int64)
-    # in row blocks, so the flat positions are never an n-row temporary;
-    # "clip" (every position is in range) writes straight into the onsets
+    shape = (min(_ONSET_ROWS, graph.n_points), ks.size)
+    onsets = np.empty(shape)
+    flat = np.empty(shape, dtype=np.int64)
+    steps = np.empty(shape, dtype=bool)
+    steps[:, 0] = True
+    values, cols = [], []
     for start in range(0, graph.n_points, _ONSET_ROWS):
-        rows = slice(start, start + _ONSET_ROWS)
-        block = onsets[rows]
+        rows = slice(start, min(start + _ONSET_ROWS, graph.n_points))
+        m = rows.stop - start
+        block = onsets[:m]
         # j = index of i's (k+1)-th NN; its own k-th NN distance closes the
-        # test: one gather of r_{j,k} at flat position j * depth + k - 1
-        pos = np.multiply(graph.indices[rows, K_MIN : k_max + 1], graph.depth, out=flat[: len(block)])
-        pos += ks - 1
+        # test: one gather of r_{j,k}; "clip" (every position is in range)
+        # writes straight into the block
+        pos = _flat_positions(graph.indices[rows, K_MIN : k_max + 1], graph.depth, ks, flat[:m])
         radii.take(pos, out=block, mode="clip")
         np.log(block, out=block)
         # the flat positions are spent, so their buffer takes log r_{i,k}
@@ -189,11 +215,21 @@ def _rejection_onsets(graph: NeighborGraph, config: EstimatorConfig) -> np.ndarr
         with np.errstate(divide="ignore"):
             np.divide(u, block, out=block)
         np.minimum.accumulate(block, axis=1, out=block)
-    return onsets
+        # a step starts at column 0 and wherever the running minimum falls
+        np.less(block[:, 1:], block[:, :-1], out=steps[:m, 1:])
+        at = np.flatnonzero(steps[:m])
+        values.append(block.take(at))
+        cols.append(at % ks.size)
+    cols = np.concatenate(cols)
+    return np.concatenate(values), cols, np.flatnonzero(cols == 0)
 
 
-def _k_star_from_onsets(onsets: np.ndarray, d: float, k_max: int) -> np.ndarray:
-    return np.minimum(K_MIN + np.count_nonzero(onsets > d, axis=1), k_max)
+def _k_star_from_onsets(onsets, d: float, k_max: int) -> np.ndarray:
+    """k* at d from the step lists of ``_rejection_onsets``: K_MIN plus the
+    column of each row's first step at or below d, and k_max where there is
+    none."""
+    values, cols, row_ptr = onsets
+    return K_MIN + np.minimum.reduceat(np.where(values > d, k_max - K_MIN, cols), row_ptr)
 
 
 def select_k_star_all(graph: NeighborGraph, d: float, config: EstimatorConfig) -> np.ndarray:

@@ -96,6 +96,21 @@ def _open_output(path: str):
         raise InvalidArgumentError(f"cannot write {path}: {err.strerror}") from None
 
 
+def _check_output(*paths: str | None) -> None:
+    """Fail on an output path that is a directory or whose directory is
+    missing or read-only (``None`` and ``-`` are stdout), before a
+    command's work; the files are opened only after it, so a failed run
+    leaves none behind."""
+    for path in paths:
+        if path is None or path == "-":
+            continue
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise InvalidArgumentError(f"cannot write {path}: it is a directory")
+        if not os.access(folder, os.W_OK):
+            raise InvalidArgumentError(f"cannot write {path}: no writable directory {folder}")
+
+
 def save_dataset_csv(dataset: Dataset, path: str) -> None:
     with _open_output(path) as fh:
         np.savetxt(fh, dataset.points, delimiter=",", fmt="%.17g")
@@ -247,6 +262,7 @@ def _estimator_options(*skip):
 @_estimator_options()
 def estimate(method, input_path, periodic, output, **opts):
     """Run one estimator on a CSV dataset and emit a JSON report."""
+    _check_output(output)
     config = adaptive_mod.EstimatorConfig(**opts)
     dataset = load_dataset(input_path, _parse_periodic(periodic))
     graph, res, timing = _build_and_run(method, dataset, config)
@@ -286,6 +302,7 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
          output, **opts):
     """Sweep fixed-radius or fixed-k estimates across a grid, with the
     adaptive estimate as the starred reference."""
+    _check_output(output)
     config = adaptive_mod.EstimatorConfig(**opts)
     dataset = load_dataset(input_path, _parse_periodic(periodic))
     # one graph for the abide reference and the grid, deepened by --k-max-scan
@@ -427,6 +444,7 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
 def benchmark(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed, method,
               replicas, threads, d_true, output, **opts):
     """Monte Carlo benchmark with deterministic per-replica seed streams."""
+    _check_output(output)
     spec = datagen.GeneratorSpec(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed)
     _emit(run_benchmark(spec, method, replicas, threads=_threads_from(threads), d_true=d_true,
                         estimator_cfg=opts), output)
@@ -437,6 +455,8 @@ def benchmark(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed, method,
 @click.option("--output", type=str, required=True)
 def generate(output, **fields):
     """Materialize a generator spec to CSV plus a JSON sidecar."""
+    # both paths first, so an unwritable sidecar leaves no CSV behind
+    _check_output(output, output + ".json")
     spec = datagen.GeneratorSpec(**fields)
     dataset = datagen.generate(spec)
     save_dataset_csv(dataset, output)
@@ -456,12 +476,13 @@ def generate(output, **fields):
 @click.option("--url", type=str, default=OPTDIGITS_URL, show_default=True)
 def fetch_optdigits(output, url):
     """Download the OptDigits training matrix (3823 x 64, label column dropped)."""
+    _check_output(output)
     with urllib.request.urlopen(url, timeout=60) as resp:
         raw = resp.read().decode("utf-8")
     rows = [line.split(",")[:-1] for line in raw.strip().splitlines()]
-    pts = np.array(rows, dtype=np.float64)
-    np.savetxt(output, pts, delimiter=",", fmt="%.17g")
-    click.echo(f"wrote {pts.shape[0]} x {pts.shape[1]} points to {output}")
+    dataset = Dataset(np.array(rows, dtype=np.float64))
+    save_dataset_csv(dataset, output)
+    click.echo(f"wrote {dataset.n} x {dataset.ambient_dim} points to {output}")
 
 
 if __name__ == "__main__":

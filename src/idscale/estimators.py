@@ -192,7 +192,8 @@ def shared_pair_counts(graph: NeighborGraph, k_a: np.ndarray, k_b: np.ndarray) -
         cols = np.arange(int(kb.max(initial=0)))
         in_b = cols < kb[:, None]
         i = np.repeat(rows[start:stop], kb)
-        j = graph.indices[start:stop, : cols.size][in_b]
+        # as intp, since numpy gathers by an int32 index array about 3x slower
+        j = graph.indices[start:stop, : cols.size][in_b].astype(np.intp, copy=False)
         r = graph.distances[start:stop, : cols.size][in_b]
         mutual = in_ball_of_j(edge_b, i, j, r)
         # C11 needs the reverse test only where j is in i's inner ball

@@ -98,7 +98,10 @@ class NeighborGraph:
 
     Row ``i`` holds the distances ``r_{i,1} <= ... <= r_{i,K}`` (the
     conventional ``r_{i,0} = 0`` is not stored) and the matching neighbour
-    indices.  Immutable after construction; safe to share across readers.
+    indices, int32 from ``build_neighbor_graph`` (half the bytes of int64;
+    readers accept either).  A flat position formed from an index, such as
+    index * depth, must be computed in int64.  Immutable after
+    construction; safe to share across readers.
     """
 
     distances: np.ndarray
@@ -168,7 +171,7 @@ def build_neighbor_graph(dataset: Dataset, K: int) -> NeighborGraph:
 
     pts = dataset.points
     dist = np.empty((n, K), dtype=np.float64)
-    idx = np.empty((n, K), dtype=np.int64)
+    idx = np.empty((n, K), dtype=np.int32)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         block = pairwise_distances(pts[start:stop], pts, dataset.periods)
@@ -212,8 +215,9 @@ def _k_smallest(block: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> None:
     kept[:, :K].sort(axis=1)
     idx[:] = kept[:, :K] & low
     # one gather by flat position; every position is in range, and "clip"
-    # writes straight into dist, where the default mode fills a buffer first
-    flat = idx + block.shape[1] * np.arange(len(block))[:, None]
+    # writes straight into dist, where the default mode fills a buffer first;
+    # the int64 row offsets make the positions int64 whatever idx's dtype is
+    flat = idx + block.shape[1] * np.arange(len(block), dtype=np.int64)[:, None]
     block.take(flat, out=dist, mode="clip")
     # adjacent keys in one group, that is equal above the low b bits
     same = (kept[:, 1:] ^ kept[:, :-1]) <= low

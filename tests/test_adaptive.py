@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import asdict, fields, replace
 
@@ -15,6 +16,9 @@ from idscale.adaptive import (
     AbideResult,
     AdaptiveState,
     EstimatorConfig,
+    _flat_positions,
+    _k_star_from_onsets,
+    _rejection_onsets,
     abide,
     agride,
     babide,
@@ -271,6 +275,40 @@ class TestRejectionOnsets:
         cfg = EstimatorConfig(k_max=80, alpha=alpha_for(1e-6))
         for d in (0.1, 2.0, 1e3):
             assert np.all(select_k_star_all(graph, d, cfg) == cfg.k_max)
+        # so each row is one +inf step, at column 0
+        values, cols, row_ptr = _rejection_onsets(graph, cfg)
+        assert np.all(values == np.inf) and np.all(cols == 0)
+        np.testing.assert_array_equal(row_ptr, np.arange(graph.n_points))
+
+    def test_step_lookup_matches_the_dense_count(self):
+        # rows of running minima over the orders K_MIN..k_max, and their steps
+        k_max = 12
+        dense = np.array([
+            [np.inf] * 11,  # never rejects
+            [9.0] * 11,  # one finite step: saturated at k_max for d < 9
+            [np.inf] * 10 + [1.0],  # a step at the last column
+            [5.0, 5.0, 3.0, 3.0, 3.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0],
+        ])
+        values = np.array([np.inf, 9.0, np.inf, 1.0, 5.0, 3.0, 0.5, 0.0])
+        cols = np.array([0, 0, 0, 10, 0, 2, 5, 8])
+        row_ptr = np.array([0, 1, 2, 4])
+        for d in (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.9, 9.0, 1e9):
+            expected = np.minimum(K_MIN + np.count_nonzero(dense > d, axis=1), k_max)
+            np.testing.assert_array_equal(
+                _k_star_from_onsets((values, cols, row_ptr), d, k_max), expected
+            )
+
+    def test_flat_positions_are_int64(self):
+        # int32 indices near 2^31 / depth: an int32 product would wrap
+        depth = 351
+        ks = np.arange(K_MIN, depth)
+        top = np.iinfo(np.int32).max // depth
+        indices = np.tile(np.arange(top - 4, top + 1, dtype=np.int32)[:, None], (1, ks.size))
+        pos = _flat_positions(indices, depth, ks, np.empty(indices.shape, dtype=np.int64))
+        assert pos.dtype == np.int64
+        expected = [[j * depth + k - 1 for k in ks.tolist()] for j in indices[:, 0].tolist()]
+        np.testing.assert_array_equal(pos, expected)
+        assert pos.max() > np.iinfo(np.int32).max
 
 
 class TestAbide:
@@ -332,6 +370,18 @@ class TestAbide:
     def test_insufficient_depth(self, torus_small):
         with pytest.raises(InsufficientGraphDepthError):
             abide(torus_small, EstimatorConfig(k_max=torus_small.depth + 10))
+
+    def test_working_memory_is_below_the_dense_onset_table(self):
+        # a dense table of onsets, n x (k_max - 1) doubles, peaked near 3.9 MB
+        g = build_neighbor_graph(gen_uniform_hypercube_periodic(n=1200, d=5, seed=0), K=351)
+        cfg = EstimatorConfig()
+        tracemalloc.start()
+        try:
+            abide(g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n_points * (cfg.k_max - 1) * 8
 
 
 class TestBabideAndAgride:

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import hashlib
 import warnings
@@ -650,10 +651,15 @@ class TestFileErrors:
         ["estimate", "--method", "twonn"],
         ["scan", "--mode", "k", "--kmax", "30", "--grid-size", "2"],
         ["benchmark", "--generator", "sine_toy", "--n", "100", "--method", "twonn",
-         "--threads", "1"],
+         "--threads", "1", "--replicas", "4"],
         ["generate", "--generator", "sine_toy", "--n", "100"],
     ], ids=lambda v: v[0])
-    def test_output_in_missing_directory(self, runner, tmp_path, torus_csv, command):
+    def test_output_in_missing_directory(self, runner, monkeypatch, tmp_path, torus_csv, command):
+        # the output is checked before any data set, graph or replica is made
+        calls = []
+        for owner, name in [(cli, "_benchmark_replica"), (cli, "build_neighbor_graph"),
+                            (cli.datagen, "generate")]:
+            monkeypatch.setattr(owner, name, lambda *a, name=name, **kw: calls.append(name))
         if command[0] in ("estimate", "scan"):
             command = command + ["--input", torus_csv, "--periodic", "1"]
         out = str(tmp_path / "missing" / "out.json")
@@ -661,6 +667,7 @@ class TestFileErrors:
         assert result.exit_code == 2
         err = error_json(result)
         assert err["error"] == "invalid-argument" and out in err["message"]
+        assert calls == []
 
     def test_unwritable_sidecar(self, runner, tmp_path):
         out = tmp_path / "g.csv"
@@ -671,6 +678,40 @@ class TestFileErrors:
         assert result.exit_code == 2
         err = error_json(result)
         assert err["error"] == "invalid-argument" and str(out) + ".json" in err["message"]
+        assert not out.exists()
+
+
+class TestFetchOptdigits:
+    """The download is replaced by three rows of the OptDigits layout (the
+    last column is the label), so these run offline."""
+
+    ROWS = "0,1,6,15,7\n0,0,10,16,3\n2,5,13,9,8\n"
+
+    @pytest.fixture()
+    def fake_url(self, monkeypatch):
+        calls = []
+
+        def urlopen(url, timeout):
+            calls.append(url)
+            return io.BytesIO(self.ROWS.encode("utf-8"))
+
+        monkeypatch.setattr(cli.urllib.request, "urlopen", urlopen)
+        return calls
+
+    def test_writes_the_points_without_labels(self, runner, tmp_path, fake_url):
+        out = tmp_path / "digits.csv"
+        result = invoke(runner, ["fetch-optdigits", "--output", str(out)])
+        assert result.exit_code == 0 and fake_url == [cli.OPTDIGITS_URL]
+        assert "wrote 3 x 4 points" in result.output
+        assert out.read_text() == "0,1,6,15\n0,0,10,16\n2,5,13,9\n"
+
+    def test_output_in_missing_directory(self, runner, tmp_path, fake_url):
+        out = str(tmp_path / "missing" / "digits.csv")
+        result = invoke(runner, ["fetch-optdigits", "--output", out])
+        assert result.exit_code == 2
+        err = error_json(result)
+        assert err["error"] == "invalid-argument" and out in err["message"]
+        assert fake_url == []
 
 
 class TestGenerateCommand:

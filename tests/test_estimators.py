@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idscale import estimators
-from idscale.adaptive import EstimatorConfig, abide
+from idscale.adaptive import EstimatorConfig, abide, select_k_star_all
 from idscale.datagen import gen_uniform_hypercube_periodic
 from idscale.errors import (
     DegenerateDatasetError,
@@ -474,6 +474,23 @@ class TestPairOverlap:
 
 
 class TestInvariances:
+    def test_index_dtype_changes_nothing(self):
+        # a hand-built graph keeps int64 indices; build_neighbor_graph's are int32
+        rng = np.random.default_rng(20)
+        g64 = graph_from_distances(np.cumsum(rng.exponential(size=(300, 41)), axis=1))
+        g32 = NeighborGraph(g64.distances, g64.indices.astype(np.int32), g64.dataset)
+        assert g64.indices.dtype == np.int64
+        cfg = EstimatorConfig(k_max=40)
+        for d in (0.5, 1.0, 2.0, 4.0):
+            np.testing.assert_array_equal(
+                select_k_star_all(g64, d, cfg), select_k_star_all(g32, d, cfg)
+            )
+        radii = 0.7 * g64.distances[:, 20]
+        k_a = counts_within_open_balls(g64, radii)
+        np.testing.assert_array_equal(k_a, counts_within_open_balls(g32, radii))
+        k_b = rng.integers(k_a, 41)
+        assert shared_pair_counts(g64, k_a, k_b) == shared_pair_counts(g32, k_a, k_b)
+
     def test_permutation_bit_exact(self):
         rng = np.random.default_rng(13)
         pts = rng.normal(size=(300, 2))

@@ -109,6 +109,11 @@ class TestBuildNeighborGraph:
         assert np.allclose(g.distances, [[1, 3], [1, 2], [2, 3]])
         assert g.indices.tolist() == [[1, 2], [0, 2], [1, 0]]
 
+    @pytest.mark.parametrize("periods", [None, np.ones(2)], ids=["euclidean", "periodic"])
+    def test_indices_are_int32(self, periods):
+        pts = np.random.default_rng(2).uniform(size=(300, 2))
+        assert build_neighbor_graph(Dataset(pts, periods), K=40).indices.dtype == np.int32
+
     def test_periodic_wraparound(self):
         pts = np.array([[0.1], [2 * np.pi - 0.1]])
         g = build_neighbor_graph(Dataset(pts, periods=np.array([2 * np.pi])), K=1)
