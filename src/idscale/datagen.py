@@ -15,15 +15,6 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .geometry import Dataset
 
-GENERATOR_KINDS = (
-    "sine_toy",
-    "noisy_gaussian",
-    "moebius",
-    "uniform_hypercube_periodic",
-    "density_step_1d",
-)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: str
@@ -164,17 +155,18 @@ def gen_density_step_1d(n: int, ratio: float, seed: int = 0) -> Dataset:
     return Dataset(x[:, None])
 
 
+# kind -> (generator, the GeneratorSpec fields it takes, in argument order)
+GENERATORS = {
+    "sine_toy": (gen_sine_toy, ("n", "sigma_eps")),
+    "noisy_gaussian": (gen_noisy_gaussian, ("n", "d", "ambient_dim", "sigma_s", "sigma_eps")),
+    "moebius": (gen_moebius, ("n", "sigma_eps", "ambient_dim")),
+    "uniform_hypercube_periodic": (gen_uniform_hypercube_periodic, ("n", "d")),
+    "density_step_1d": (gen_density_step_1d, ("n", "ratio")),
+}
+GENERATOR_KINDS = tuple(GENERATORS)
+
+
 def generate(spec: GeneratorSpec) -> Dataset:
     """Materialize any generator spec."""
-    if spec.kind == "sine_toy":
-        return gen_sine_toy(spec.n, spec.sigma_eps, spec.seed)
-    if spec.kind == "noisy_gaussian":
-        return gen_noisy_gaussian(
-            spec.n, spec.d, spec.ambient_dim, spec.sigma_s, spec.sigma_eps, spec.seed
-        )
-    if spec.kind == "moebius":
-        return gen_moebius(spec.n, spec.sigma_eps, spec.ambient_dim, spec.seed)
-    if spec.kind == "uniform_hypercube_periodic":
-        return gen_uniform_hypercube_periodic(spec.n, spec.d, spec.seed)
-    # density_step_1d: GeneratorSpec admits no other kind
-    return gen_density_step_1d(spec.n, spec.ratio, spec.seed)
+    gen, fields = GENERATORS[spec.kind]
+    return gen(*(getattr(spec, name) for name in fields), seed=spec.seed)

@@ -337,6 +337,8 @@ def bide_fixed_k(
 
 
 def _finish_bide(graph, counts, d_hat, beta):
+    if d_hat <= 0:
+        raise DegenerateScaleError("d = 0: every inner ball holds its whole outer ball")
     info = fisher_information(d_hat, counts.tau, counts.k_b) / pair_overlap_factor(graph, counts, d_hat)
     p_val = validate_model(counts.k_a, counts.k_b, d_hat, counts.tau).p_value
     return IdEstimate(

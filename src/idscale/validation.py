@@ -32,15 +32,6 @@ _ES_POINTS = (0.4, 0.8)
 
 @dataclass(frozen=True)
 class ValidationReport:
-    p_value: float
-    statistic: float
-    synthetic_sample_size: int
-    observed_size: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class EppsSingletonResult:
     statistic: float
     p_value: float
     df: int
@@ -83,7 +74,7 @@ def _pooled_semi_iqr(hist_a, hist_b) -> float:
     return 0.5 * (quantile(0.75) - quantile(0.25))
 
 
-def epps_singleton(sample_a, sample_b) -> EppsSingletonResult:
+def epps_singleton(sample_a, sample_b) -> ValidationReport:
     """Two-sample Epps-Singleton ES2 test.
 
     Compares the empirical characteristic functions of the two samples at
@@ -129,7 +120,7 @@ def epps_singleton(sample_a, sample_b) -> EppsSingletonResult:
     if max(n_a, n_b) < 25:
         w *= 1.0 / (1.0 + n ** -0.45 + 10.1 * (n_a ** -1.7 + n_b ** -1.7))
     p_value = float(special.gammaincc(0.5 * df, 0.5 * w))
-    return EppsSingletonResult(statistic=w, p_value=p_value, df=df)
+    return ValidationReport(statistic=w, p_value=p_value, df=df)
 
 
 def sample_mixture(kb_values, d: float, tau: float, m: int, seed: int) -> np.ndarray:
@@ -156,14 +147,4 @@ def validate_model(ka_values, kb_values, d: float, tau: float, seed: int = 0) ->
     kb = np.asarray(kb_values, dtype=np.int64)
     if ka.shape != kb.shape:
         raise InvalidArgumentError("count arrays must have equal length")
-    n = ka.size
-    m = min(10 * n, SYNTHETIC_CAP)
-    synthetic = sample_mixture(kb, d, tau, m, seed)
-    result = epps_singleton(synthetic, ka)
-    return ValidationReport(
-        p_value=result.p_value,
-        statistic=result.statistic,
-        synthetic_sample_size=m,
-        observed_size=n,
-        seed=seed,
-    )
+    return epps_singleton(sample_mixture(kb, d, tau, min(10 * ka.size, SYNTHETIC_CAP), seed), ka)

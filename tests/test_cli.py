@@ -34,6 +34,17 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def tight_clusters_csv(tmp_path):
+    """50 clusters of 3 points, 1e-6 wide, on [0, 100)^2: at tau = 0.5 every
+    inner ball of a fixed-scale estimate holds its whole outer ball."""
+    rng = np.random.default_rng(0)
+    centres = rng.uniform(0.0, 100.0, size=(50, 2))
+    pts = np.repeat(centres, 3, axis=0) + 1e-6 * rng.normal(size=(150, 2))
+    path = str(tmp_path / "clusters.csv")
+    save_dataset_csv(Dataset(pts), path)
+    return path
+
+
 class TestLoadDataset:
     def test_plain_table(self, tmp_path):
         path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n")
@@ -164,6 +175,34 @@ class TestEstimateCommand:
         err = json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
         assert err["error"] == "degenerate-scale"
 
+    @pytest.mark.parametrize("power", [520, -540])
+    @pytest.mark.parametrize("args", [
+        ["--method", "twonn"], ["--method", "abide", "--kmax", "60"],
+    ], ids=["twonn", "abide"])
+    def test_far_scales_give_the_unit_scale_estimate(self, runner, tmp_path, args, power):
+        # coordinates near 1e157 overflowed the squared distances, and near
+        # 1e-163 underflowed them; a power of two leaves every ratio as it was
+        ds = datagen.gen_noisy_gaussian(n=300, d=2, ambient_dim=5, seed=0)
+        ests = []
+        for scale in (0, power):
+            path = str(tmp_path / f"scaled{scale}.csv")
+            save_dataset_csv(Dataset(np.ldexp(ds.points, scale)), path)
+            result = invoke(runner, ["estimate", "--input", path, *args])
+            assert result.exit_code == 0, result.output
+            ests.append(json.loads(result.stdout)["estimate"])
+        assert ests[0]["d"] == ests[1]["d"]
+        assert np.isfinite(ests[1]["d"])
+
+    @pytest.mark.parametrize("args", [
+        ["--method", "bide-k", "--k", "3", "--tau", "0.5"],
+        ["--method", "bide-r", "--tb", "0.5", "--tau", "0.5"],
+    ])
+    def test_zero_estimate_exit_code(self, runner, tmp_path, args):
+        path = tight_clusters_csv(tmp_path)
+        result = invoke(runner, ["estimate", "--input", path, *args])
+        assert result.exit_code == 5
+        assert error_json(result)["error"] == "degenerate-scale"
+
     @staticmethod
     def _near_duplicates_csv(tmp_path, offset, spread):
         # 300 Gaussian points in 10-D, the first three within about ``spread`` of ``offset``
@@ -272,6 +311,14 @@ class TestScanCommand:
         for entry in report["entries"]:
             assert ("error" in entry) != ("d" in entry)
         assert report["abide_ref"]["mean_k_star"] >= 2.0
+
+    @pytest.mark.parametrize("mode", ["k", "radius"])
+    def test_zero_estimates_become_error_entries(self, runner, tmp_path, mode):
+        path = tight_clusters_csv(tmp_path)
+        result = invoke(runner, ["scan", "--mode", mode, "--kmax", "20", "--input", path])
+        assert result.exit_code == 0, result.output
+        errors = [e.get("error") for e in json.loads(result.stdout)["entries"]]
+        assert "degenerate-scale" in errors
 
     def test_fixed_k_grid(self, runner, tmp_path):
         ds = datagen.gen_uniform_hypercube_periodic(n=500, d=2, seed=2)

@@ -175,6 +175,27 @@ class TestBideClosedForm:
             BinomialCounts(k_a=np.array([1]), k_b=np.array([2]), tau=1.0)
 
 
+def tight_clusters_graph(K):
+    """50 clusters of 3 points, 1e-6 wide, on [0, 100)^2: every inner ball
+    at tau = 0.5 holds its whole outer ball."""
+    rng = np.random.default_rng(0)
+    centres = rng.uniform(0.0, 100.0, size=(50, 2))
+    pts = np.repeat(centres, 3, axis=0) + 1e-6 * rng.normal(size=(150, 2))
+    return build_neighbor_graph(Dataset(pts), K=K)
+
+
+class TestZeroEstimate:
+    # the closed form gives 0 there (see test_equal_sums_give_zero), and
+    # the interval would divide by p(1 - p) = 0
+    def test_fixed_k(self):
+        with pytest.raises(DegenerateScaleError, match="whole outer ball"):
+            bide_fixed_k(tight_clusters_graph(3), 3, 0.5)
+
+    def test_fixed_radius(self):
+        with pytest.raises(DegenerateScaleError, match="whole outer ball"):
+            bide_fixed_radius(tight_clusters_graph(3), 0.5, 0.5)
+
+
 class TestBideFixedRadius:
     def test_integer_lattice_matches_counting_oracle(self):
         pts = np.arange(1001, dtype=np.float64)[:, None]

@@ -103,6 +103,44 @@ class TestDataset:
             Dataset(np.array([[0.1], [0.2]]), periods=np.array([0.0]))
 
 
+def unique_rows_oracle(points):
+    """The first occurrence of each distinct row, in the original order,
+    by ``np.unique(axis=0)``."""
+    _, first = np.unique(points, axis=0, return_index=True)
+    return points[np.sort(first)]
+
+
+class TestDeduplicate:
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_duplicate_heavy_integers_match_unique_rows(self, periodic):
+        pts = np.random.default_rng(5).integers(0, 4, size=(500, 3)).astype(np.float64)
+        ds = with_metric(pts, periodic, period=4.0)
+        distinct = geometry.deduplicate(ds)
+        assert np.array_equal(distinct.points, unique_rows_oracle(ds.points))
+        assert distinct.n == 64
+
+    def test_negative_zero_equals_zero(self):
+        pts = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [2.0, 0.0], [-0.0, -0.0]])
+        distinct = geometry.deduplicate(Dataset(pts))
+        assert np.array_equal(distinct.points, [[0.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
+        assert np.signbit(distinct.points[1, 1])
+
+    def test_periodic_point_wrapped_from_below_zero(self):
+        pts = np.array([[0.25, 0.0], [0.25, -1e-20], [0.5, 0.5]])
+        distinct = geometry.deduplicate(Dataset(pts, periods=np.ones(2)))
+        assert np.array_equal(distinct.points, [[0.25, 0.0], [0.5, 0.5]])
+
+    def test_distinct_points_return_the_dataset(self):
+        ds = Dataset(np.random.default_rng(6).normal(size=(50, 3)))
+        assert geometry.deduplicate(ds) is ds
+
+    @pytest.mark.parametrize("rows", [slice(50), np.r_[0:50, 0:5]], ids=["distinct", "duplicated"])
+    def test_results_hold_only_their_fields(self, rows):
+        ds = Dataset(np.random.default_rng(7).uniform(size=(50, 2))[rows], periods=np.ones(2))
+        for out in (geometry.deduplicate(ds), build_neighbor_graph(ds, K=3).dataset, ds):
+            assert set(vars(out)) == {"points", "periods"}
+
+
 class TestBuildNeighborGraph:
     def test_collinear_hand_geometry(self):
         g = build_neighbor_graph(Dataset(np.array([[0.0], [1.0], [3.0]])), K=2)
@@ -175,6 +213,25 @@ class TestBuildNeighborGraph:
         g2 = build_neighbor_graph(Dataset(4.0 * pts), K=10)
         assert np.array_equal(g1.indices, g2.indices)
         assert np.allclose(g2.distances, 4.0 * g1.distances, rtol=1e-12)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("power", [-540, 520, 1000])
+    def test_power_of_two_scales_are_exact(self, periodic, power):
+        # at 2^-540 the squared differences would underflow and at 2^520
+        # overflow; the graph scales the coordinates to below 1 first
+        pts = np.random.default_rng(3).normal(size=(120, 4))
+        g1 = build_neighbor_graph(with_metric(pts, periodic, period=16.0), K=10)
+        scaled = with_metric(np.ldexp(pts, power), periodic, period=np.ldexp(16.0, power))
+        g2 = build_neighbor_graph(scaled, K=10)
+        assert np.array_equal(g1.indices, g2.indices)
+        assert np.array_equal(np.ldexp(g1.distances, power), g2.distances)
+        assert np.array_equal(g2.dataset.points, scaled.points)
+
+    def test_distances_beyond_the_double_range(self):
+        ds = Dataset(np.array([[-1e308], [1e308], [0.0]]))
+        assert np.all(build_neighbor_graph(ds, K=1).distances == 1e308)
+        with pytest.raises(DegenerateDatasetError, match="double range"):
+            build_neighbor_graph(ds, K=2)
 
     def test_translation_invariance(self):
         # a 0.01-scale cloud moved to 1e4: distances summed from coordinate

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2, epps_singleton_2samp
 
 from idscale.adaptive import EstimatorConfig
+from idscale import validation
 from idscale.errors import DegenerateSampleError, InvalidArgumentError
 from idscale.estimators import fisher_interval
 from idscale.validation import (
@@ -71,19 +72,29 @@ class TestValidateModel:
         ka = rng.binomial(kb, tau ** d)
         return ka, kb, d, tau
 
-    def test_report_fields(self):
-        ka, kb, d, tau = self._well_specified(500, 0)
-        report = validate_model(ka, kb, d, tau, seed=3)
-        assert report.observed_size == 500
-        assert report.synthetic_sample_size == 5000
-        assert report.seed == 3
+    def _mixture_calls(self, monkeypatch, n, data_seed, seed):
+        # the synthetic sample size and seed validate_model passes on
+        calls = []
+
+        def spy(kb_values, d, tau, m, seed):
+            calls.append((m, seed))
+            return sample_mixture(kb_values, d, tau, m, seed)
+
+        monkeypatch.setattr(validation, "sample_mixture", spy)
+        ka, kb, d, tau = self._well_specified(n, data_seed)
+        report = validate_model(ka, kb, d, tau, seed=seed)
+        return calls, report
+
+    def test_report_fields(self, monkeypatch):
+        calls, report = self._mixture_calls(monkeypatch, 500, 0, 3)
+        assert calls == [(5000, 3)]
         assert 0.0 <= report.p_value <= 1.0
         assert report.statistic >= 0.0
+        assert 1 <= report.df <= 4
 
-    def test_synthetic_size_capped(self):
-        ka, kb, d, tau = self._well_specified(20_000, 1)
-        report = validate_model(ka, kb, d, tau, seed=0)
-        assert report.synthetic_sample_size == SYNTHETIC_CAP
+    def test_synthetic_size_capped(self, monkeypatch):
+        calls, _ = self._mixture_calls(monkeypatch, 20_000, 1, 0)
+        assert calls == [(SYNTHETIC_CAP, 0)]
 
     def test_well_specified_counts_fit(self):
         ka, kb, d, tau = self._well_specified(2000, 2)
