@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import http.client
+import io
 import json
 import math
 import os
@@ -16,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import click
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import adaptive as adaptive_mod
 from . import datagen, estimators, geometry
@@ -41,40 +42,45 @@ OPTDIGITS_URL = (
 # dataset I/O
 
 
+def _parse_rows(lines) -> np.ndarray:
+    """The CSV text ``lines`` as an n x D array, by ``load_dataset``'s rules."""
+    rows = []
+    width = None
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if width is None:
+                # the first non-blank line sets the width; a header row is skipped
+                width = len(cells)
+                try:
+                    float(cells[0])
+                except ValueError:
+                    continue
+            elif len(cells) != width:
+                raise ParseError(f"ragged row: expected {width} columns", line=lineno)
+            try:
+                values = [float(c) for c in cells]
+            except ValueError as err:
+                raise ParseError(f"non-numeric cell: {err}", line=lineno) from err
+            if not all(map(math.isfinite, values)):
+                raise ParseError("non-finite value", line=lineno)
+            rows.append(values)
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not UTF-8 text: {err}") from None
+    if not rows:
+        raise ParseError("empty file", line=1)
+    return np.array(rows, dtype=np.float64)
+
+
 def load_dataset(path: str, periodic: list[float] | None = None) -> Dataset:
     """Read a CSV point cloud (rows = points); a single non-numeric header
     row, the first non-blank line, is skipped automatically."""
-    rows = []
-    width = None
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
     with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                if width is None:
-                    # the first non-blank line sets the width; a header row is skipped
-                    width = len(cells)
-                    try:
-                        float(cells[0])
-                    except ValueError:
-                        continue
-                elif len(cells) != width:
-                    raise ParseError(f"ragged row: expected {width} columns", line=lineno)
-                try:
-                    values = [float(c) for c in cells]
-                except ValueError as err:
-                    raise ParseError(f"non-numeric cell: {err}", line=lineno) from err
-                if not all(map(math.isfinite, values)):
-                    raise ParseError("non-finite value", line=lineno)
-                rows.append(values)
-        except UnicodeDecodeError as err:
-            raise ParseError(f"not UTF-8 text: {err}") from None
-    if not rows:
-        raise ParseError("empty file", line=1)
-    pts = np.array(rows, dtype=np.float64)
+        pts = _parse_rows(fh)
     periods = None
     if periodic is not None:
         if len(periodic) == 1:
@@ -424,9 +430,13 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
         z = np.array([
             np.sqrt(r["n"] * r["fisher_info"]) * (r["d"] - d_true) for r in results
         ])
+        # imported here, its one use: scipy.stats and the scipy.optimize it
+        # loads take about 34 MB and 0.5 s, which no other command pays
+        from scipy import stats
+
         summary["normality"] = {
             "z": z.tolist(),
-            "ks_p_value": float(scipy_stats.kstest(z, "norm").pvalue),
+            "ks_p_value": float(stats.kstest(z, "norm").pvalue),
         }
     return summary
 
@@ -477,10 +487,16 @@ def generate(output, **fields):
 def fetch_optdigits(output, url):
     """Download the OptDigits training matrix (3823 x 64, label column dropped)."""
     _check_output(output)
-    with urllib.request.urlopen(url, timeout=60) as resp:
-        raw = resp.read().decode("utf-8")
-    rows = [line.split(",")[:-1] for line in raw.strip().splitlines()]
-    dataset = Dataset(np.array(rows, dtype=np.float64))
+    try:
+        with urllib.request.urlopen(url, timeout=60) as resp:
+            body = resp.read()
+    except (OSError, ValueError, http.client.HTTPException) as err:
+        # URLError and timeouts are OSErrors, an unknown scheme a ValueError
+        reason = getattr(err, "reason", None) or err
+        raise InvalidArgumentError(f"cannot download {url}: {reason}") from None
+    # the last column is the digit label
+    points = _parse_rows(io.TextIOWrapper(io.BytesIO(body), encoding="utf-8-sig"))[:, :-1]
+    dataset = Dataset(points)
     save_dataset_csv(dataset, output)
     click.echo(f"wrote {dataset.n} x {dataset.ambient_dim} points to {output}")
 

@@ -2,12 +2,20 @@ import dataclasses
 import io
 import json
 import hashlib
+import http.client
+import os
+import subprocess
+import sys
+import textwrap
+import urllib.error
 import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy import stats
 
+import idscale
 from idscale import cli, datagen, estimators
 from idscale.adaptive import METHOD_OPTIONS, METHODS, EstimatorConfig, run_method
 from idscale.cli import load_dataset, main, run_benchmark, save_dataset_csv
@@ -494,8 +502,9 @@ class TestBenchmarkCommand:
             spec, "bide-k", replicas=3, threads=1, d_true=2.0,
             estimator_cfg={"k": 20, "tau": 0.45},
         )
-        assert len(summary["normality"]["z"]) == 3
-        assert 0.0 <= summary["normality"]["ks_p_value"] <= 1.0
+        z = [np.sqrt(r["n"] * r["fisher_info"]) * (r["d"] - 2.0) for r in summary["per_replica"]]
+        assert summary["normality"]["z"] == z
+        assert summary["normality"]["ks_p_value"] == stats.kstest(z, "norm").pvalue
 
     def test_no_normality_without_d_true(self):
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=6)
@@ -759,6 +768,90 @@ class TestFetchOptdigits:
         err = error_json(result)
         assert err["error"] == "invalid-argument" and out in err["message"]
         assert fake_url == []
+
+    @pytest.mark.parametrize("failure", [
+        urllib.error.URLError(ConnectionRefusedError(111, "Connection refused")),
+        urllib.error.HTTPError(cli.OPTDIGITS_URL, 404, "Not Found", None, None),
+        TimeoutError("timed out"),
+        http.client.IncompleteRead(b"0,1,6", 1000),
+        ValueError("unknown url type: 'nope'"),
+    ], ids=["refused", "http 404", "timeout", "truncated", "bad url"])
+    def test_failed_download_is_invalid_argument(self, runner, monkeypatch, tmp_path, failure):
+        def urlopen(url, timeout):
+            raise failure
+
+        monkeypatch.setattr(cli.urllib.request, "urlopen", urlopen)
+        out = tmp_path / "digits.csv"
+        result = invoke(runner, ["fetch-optdigits", "--output", str(out)])
+        assert result.exit_code == 2
+        err = error_json(result)
+        assert err["error"] == "invalid-argument"
+        assert err["message"].startswith(f"cannot download {cli.OPTDIGITS_URL}: ")
+        assert str(getattr(failure, "reason", failure)) in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, line, message", [
+        (b"0,1,6,15,7\n0,0,10,16\n", 2, "ragged row"),
+        (b"0,1,6,15,7\n0,0,x,16,3\n", 2, "non-numeric cell"),
+        (b"0,1,6,15,7\n\n0,0,10,inf,3\n", 3, "non-finite value"),
+        (b"0,1,6,15,7\n\xe9,0,10,16,3\n", None, "not UTF-8 text"),
+        (b"", 1, "empty file"),
+    ], ids=["ragged", "non-numeric", "non-finite", "not utf-8", "empty"])
+    def test_bad_body_is_a_parse_error(self, runner, monkeypatch, tmp_path, body, line, message):
+        monkeypatch.setattr(cli.urllib.request, "urlopen", lambda url, timeout: io.BytesIO(body))
+        out = tmp_path / "digits.csv"
+        result = invoke(runner, ["fetch-optdigits", "--output", str(out)])
+        assert result.exit_code == 9
+        err = error_json(result)
+        assert err["error"] == "parse-error" and message in err["message"]
+        assert err.get("line") == line
+        assert not out.exists()
+
+
+class TestImportFootprint:
+    """``import idscale.cli`` loads neither scipy.stats nor scipy.optimize:
+    each is imported at its one call site (``kstest`` behind ``benchmark
+    --d-true``, ``brentq`` behind ``agride``). Run in a fresh interpreter,
+    since this test process has loaded both."""
+
+    SCRIPT = textwrap.dedent("""
+        import json
+        import sys
+        from idscale import cli
+
+        def loaded():
+            return sorted(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules)
+
+        path, out = sys.argv[1:]
+        steps = {"import": loaded()}
+        for method, flags in [("abide", []), ("babide", []), ("twonn", []),
+                              ("bide-k", ["--k", "10", "--tau", "0.5"]),
+                              ("bide-r", ["--tb", "0.3", "--tau", "0.5"]), ("agride", [])]:
+            cli.main(["estimate", "--method", method, "--input", path, "--periodic", "1",
+                      "--output", out, *flags], standalone_mode=False)
+            steps[method] = loaded()
+        cli.main(["benchmark", "--generator", "uniform_hypercube_periodic", "--n", "200",
+                  "--d", "2", "--method", "bide-k", "--k", "10", "--tau", "0.5",
+                  "--replicas", "2", "--threads", "1", "--d-true", "2", "--output", out],
+                 standalone_mode=False)
+        steps["benchmark --d-true"] = loaded()
+        print(json.dumps(steps))
+    """)
+
+    def test_scipy_stats_and_optimize_load_only_where_called(self, tmp_path):
+        path = str(tmp_path / "torus.csv")
+        save_dataset_csv(datagen.gen_uniform_hypercube_periodic(n=300, d=2, seed=1), path)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(idscale.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, path, str(tmp_path / "out.json")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        steps = json.loads(done.stdout.strip().splitlines()[-1])
+        assert steps == {
+            "import": [], "abide": [], "babide": [], "twonn": [], "bide-k": [], "bide-r": [],
+            "agride": ["scipy.optimize"],
+            "benchmark --d-true": ["scipy.optimize", "scipy.stats"],
+        }
 
 
 class TestGenerateCommand:
