@@ -79,24 +79,25 @@ class EstimatorConfig:
     threshold_mode: str = "fixed"
 
     def __post_init__(self):
+        # every range check in positive form, so that NaN fails it
         if not 0.0 < self.alpha < 1.0:
             raise InvalidArgumentError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise InvalidArgumentError(f"unknown threshold mode {self.threshold_mode!r}")
         if self.k_max < K_MIN:
             raise InvalidArgumentError(f"k_max must be >= {K_MIN}")
-        if self.max_iter < 1 or self.delta <= 0:
-            raise InvalidArgumentError("max_iter must be >= 1 and delta > 0")
+        if not (self.max_iter >= 1 and 0.0 < self.delta < np.inf):
+            raise InvalidArgumentError("max_iter must be >= 1 and delta > 0 and finite")
         if not 0.0 < self.beta_ci < 1.0:
             raise InvalidArgumentError(f"beta_ci must lie in (0, 1), got {self.beta_ci}")
         if self.tau is not None and not 0.0 < self.tau < 1.0:
             raise InvalidArgumentError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.tb is not None and self.tb <= 0:
-            raise InvalidArgumentError(f"t_b must be positive, got {self.tb}")
+        if self.tb is not None and not 0.0 < self.tb < np.inf:
+            raise InvalidArgumentError(f"t_b must be positive and finite, got {self.tb}")
         if self.k is not None and self.k < 1:
             raise InvalidArgumentError(f"k must be >= 1, got {self.k}")
-        if self.alpha0 <= 0 or self.beta0 <= 0:
-            raise InvalidArgumentError("prior parameters must be positive")
+        if not (0.0 < self.alpha0 < np.inf and 0.0 < self.beta0 < np.inf):
+            raise InvalidArgumentError("prior parameters must be positive and finite")
 
     def rejection_threshold(self, n: int) -> float:
         """D_thr for a dataset of size n, honouring the Bonferroni mode."""
@@ -251,7 +252,8 @@ def _assemble_counts(graph, k_star, tau, k_max):
 
 def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> AbideResult:
     """Shared fixed-point skeleton: start from the two-NN estimate, then
-    alternate k* selection and a global ID update until |delta d| < delta.
+    iterate d -> update(counts, k*) at the k*(d) and tau(d) of ``state_at``
+    until |delta d| < delta or max_iter updates.
 
     The trace holds d and mean k* per iterate.  The fit check runs once,
     in ``_finish_bide`` at the terminal k*, tau and d."""
@@ -260,40 +262,35 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
         warnings.warn(f"adaptive estimation on only {n} points is unreliable", stacklevel=3)
     # depth first, then two-NN: a degenerate graph raises before the onset build
     _require_depth(graph, config.k_max)
-    d_current = twonn_estimate(graph).d
+    trace = [IterationRecord(d=twonn_estimate(graph).d, mean_k_star=2.0)]
     onsets = _rejection_onsets(graph, config)
-    trace = [IterationRecord(d=d_current, mean_k_star=2.0)]
-    converged = False
-    iterations = 0
-    d_next = d_current
-    for _ in range(config.max_iter):
-        tau = optimal_tau(d_current)
-        k_star = _k_star_from_onsets(onsets, d_current, config.k_max)
-        _, counts = _assemble_counts(graph, k_star, tau, config.k_max)
-        d_next = update(graph, counts, k_star)
-        if not np.isfinite(d_next) or d_next <= 0:
-            raise OptimizationFailureError(f"non-finite or non-positive iterate {d_next}")
-        trace.append(IterationRecord(d=d_next, mean_k_star=float(k_star.mean())))
-        iterations += 1
-        if abs(d_current - d_next) < config.delta:
-            converged = True
-            break
-        d_current = d_next
 
-    # final state recomputed with the terminal estimate
-    k_star = _k_star_from_onsets(onsets, d_next, config.k_max)
-    del onsets
-    state, counts = _assemble_counts(graph, k_star, optimal_tau(d_next), config.k_max)
-    estimate = _finish_bide(graph, counts, d_next, config.beta_ci)
+    def state_at(d):
+        k_star = _k_star_from_onsets(onsets, d, config.k_max)
+        return _assemble_counts(graph, k_star, optimal_tau(d), config.k_max)
+
+    converged = False
+    while not converged and len(trace) <= config.max_iter:
+        state, counts = state_at(trace[-1].d)
+        d = update(counts, state.k_star)
+        if not np.isfinite(d) or d <= 0:
+            raise OptimizationFailureError(f"non-finite or non-positive iterate {d}")
+        converged = abs(trace[-1].d - d) < config.delta
+        trace.append(IterationRecord(d=d, mean_k_star=float(state.k_star.mean())))
+
+    d = trace[-1].d
+    state, counts = state_at(d)
+    del onsets  # spent: freed before the fit check's synthetic draws
+    estimate = _finish_bide(graph, counts, d, config.beta_ci)
     return AbideResult(estimate=replace(estimate, trace=trace), state=state,
-                       iterations_run=iterations, converged=converged)
+                       iterations_run=len(trace) - 1, converged=converged)
 
 
 def abide(graph: NeighborGraph, config: EstimatorConfig | None = None) -> AbideResult:
     """Adaptive binomial estimator (closed-form update)."""
     config = config or EstimatorConfig()
 
-    def update(_graph, counts, _k_star):
+    def update(counts, _k_star):
         return bide_closed_form(counts)
 
     return _adaptive_loop(graph, config, update)
@@ -304,7 +301,7 @@ def babide(graph: NeighborGraph, config: EstimatorConfig | None = None) -> Abide
     the Beta(``config.alpha0``, ``config.beta0``) prior."""
     config = config or EstimatorConfig()
 
-    def update(_graph, counts, _k_star):
+    def update(counts, _k_star):
         return beta_posterior(counts, config.alpha0, config.beta0).mean
 
     return _adaptive_loop(graph, config, update)
@@ -327,8 +324,8 @@ def agride(graph: NeighborGraph, config: EstimatorConfig | None = None) -> Abide
     """
     config = config or EstimatorConfig()
 
-    def update(graph_, _counts, k_star):
-        return gride_update_from_k_star(graph_, k_star)
+    def update(_counts, k_star):
+        return gride_update_from_k_star(graph, k_star)
 
     return _adaptive_loop(graph, config, update)
 

@@ -117,6 +117,14 @@ def _check_output(*paths: str | None) -> None:
             raise InvalidArgumentError(f"cannot write {path}: no writable directory {folder}")
 
 
+def _check_file_output(*paths: str) -> None:
+    """``_check_output`` for a command that writes only files, where ``-``
+    (stdout) is no place to write."""
+    if "-" in paths:
+        raise InvalidArgumentError("--output must name a file; this command cannot write to stdout")
+    _check_output(*paths)
+
+
 def save_dataset_csv(dataset: Dataset, path: str) -> None:
     with _open_output(path) as fh:
         np.savetxt(fh, dataset.points, delimiter=",", fmt="%.17g")
@@ -451,11 +459,11 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
               help="true ID: adds the pivot normality check (not for twonn)")
 @click.option("--output", type=str, default=None)
 @_estimator_options()
-def benchmark(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed, method,
-              replicas, threads, d_true, output, **opts):
+def benchmark(method, replicas, threads, d_true, output, **opts):
     """Monte Carlo benchmark with deterministic per-replica seed streams."""
     _check_output(output)
-    spec = datagen.GeneratorSpec(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed)
+    # the generator options are the spec's fields, the rest EstimatorConfig's
+    spec = datagen.GeneratorSpec(**{name: opts.pop(name) for name in _SPEC_DEFAULTS})
     _emit(run_benchmark(spec, method, replicas, threads=_threads_from(threads), d_true=d_true,
                         estimator_cfg=opts), output)
 
@@ -466,7 +474,7 @@ def benchmark(kind, n, d, ambient_dim, sigma_s, sigma_eps, ratio, seed, method,
 def generate(output, **fields):
     """Materialize a generator spec to CSV plus a JSON sidecar."""
     # both paths first, so an unwritable sidecar leaves no CSV behind
-    _check_output(output, output + ".json")
+    _check_file_output(output, output + ".json")
     spec = datagen.GeneratorSpec(**fields)
     dataset = datagen.generate(spec)
     save_dataset_csv(dataset, output)
@@ -486,7 +494,7 @@ def generate(output, **fields):
 @click.option("--url", type=str, default=OPTDIGITS_URL, show_default=True)
 def fetch_optdigits(output, url):
     """Download the OptDigits training matrix (3823 x 64, label column dropped)."""
-    _check_output(output)
+    _check_file_output(output)
     try:
         with urllib.request.urlopen(url, timeout=60) as resp:
             body = resp.read()

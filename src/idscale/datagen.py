@@ -31,8 +31,11 @@ class GeneratorSpec:
             raise InvalidArgumentError(f"unknown generator kind {self.kind!r}")
         if self.n < 2:
             raise InvalidArgumentError("need n >= 2")
-        if self.sigma_eps < 0 or self.sigma_s < 0:
-            raise InvalidArgumentError("scales must be nonnegative")
+        if self.d < 0 or self.ambient_dim < 0:
+            raise InvalidArgumentError("d and ambient_dim must be nonnegative")
+        # in positive form, so that NaN fails it
+        if not (0.0 <= self.sigma_eps < np.inf and 0.0 <= self.sigma_s < np.inf):
+            raise InvalidArgumentError("scales must be nonnegative and finite")
 
 
 def _streams(seed: int):
@@ -146,8 +149,8 @@ def gen_uniform_hypercube_periodic(n: int, d: int, seed: int = 0) -> Dataset:
 def gen_density_step_1d(n: int, ratio: float, seed: int = 0) -> Dataset:
     """1-d sample from two abutting uniform segments, [0,1) and [1,2),
     with density ratio ``ratio`` between them."""
-    if ratio <= 0:
-        raise InvalidArgumentError(f"ratio must be positive, got {ratio}")
+    if not 0.0 < ratio < np.inf:
+        raise InvalidArgumentError(f"ratio must be positive and finite, got {ratio}")
     rng, _ = _streams(seed)
     p_right = ratio / (1.0 + ratio)
     right = rng.random(n) < p_right

@@ -293,8 +293,8 @@ def bide_fixed_radius(
     The reported ``fisher_info`` is already divided by
     ``pair_overlap_factor``, and ``ci`` is built from it.
     """
-    if t_b <= 0:
-        raise InvalidArgumentError(f"t_b must be positive, got {t_b}")
+    if not 0.0 < t_b < np.inf:
+        raise InvalidArgumentError(f"t_b must be positive and finite, got {t_b}")
     if not 0.0 < tau < 1.0:
         raise InvalidArgumentError(f"tau must lie in (0, 1), got {tau}")
     n = graph.n_points
@@ -357,8 +357,8 @@ def beta_posterior(counts: BinomialCounts, alpha0: float = BETA_PRIOR, beta0: fl
     Posterior mean and variance follow from the digamma/trigamma moments of
     log p for a Beta(alpha*, beta*) law.
     """
-    if alpha0 <= 0 or beta0 <= 0:
-        raise InvalidArgumentError("prior parameters must be positive")
+    if not (0.0 < alpha0 < np.inf and 0.0 < beta0 < np.inf):
+        raise InvalidArgumentError("prior parameters must be positive and finite")
     sum_a = float(counts.k_a.sum())
     sum_b = float(counts.k_b.sum())
     alpha_star = alpha0 + sum_a

@@ -37,6 +37,7 @@ from idscale.errors import (
     DegenerateDatasetError,
     InsufficientGraphDepthError,
     InvalidArgumentError,
+    OptimizationFailureError,
 )
 from idscale.estimators import twonn_estimate
 from idscale.geometry import Dataset, NeighborGraph, build_neighbor_graph
@@ -166,6 +167,14 @@ class TestEstimatorConfig:
         ("beta0", -1.0, "prior parameters"),
         ("max_iter", 0, "max_iter must be >= 1"), ("delta", 0.0, "delta > 0"),
         ("beta_ci", 0.0, "beta_ci must lie in"), ("beta_ci", 1.0, "beta_ci must lie in"),
+        # NaN fails every range check, and inf those of the unbounded options
+        ("delta", np.nan, "delta > 0 and finite"), ("delta", np.inf, "delta > 0 and finite"),
+        ("tb", np.nan, "t_b must be positive and finite"),
+        ("tb", np.inf, "t_b must be positive and finite"),
+        ("alpha0", np.nan, "prior parameters"), ("alpha0", np.inf, "prior parameters"),
+        ("beta0", np.nan, "prior parameters"), ("beta0", np.inf, "prior parameters"),
+        ("alpha", np.nan, "alpha must lie in"), ("tau", np.nan, "tau must lie in"),
+        ("beta_ci", np.nan, "beta_ci must lie in"),
     ])
     def test_method_option_validation(self, field, value, message):
         with pytest.raises(InvalidArgumentError, match=message):
@@ -337,6 +346,28 @@ class TestAbide:
         assert res.estimate.trace[0].d == twonn_estimate(torus_small).d
         assert res.estimate.trace[0].mean_k_star == 2.0
         assert len(res.estimate.trace) == res.iterations_run + 1
+
+    def test_each_update_reads_the_state_at_the_previous_iterate(self, torus_small):
+        cfg = small_config()
+        calls = []
+
+        def update(counts, k_star):
+            calls.append((counts, k_star))
+            return estimators.bide_closed_form(counts)
+
+        res = adaptive_mod._adaptive_loop(torus_small, cfg, update)
+        trace = res.estimate.trace
+        assert len(calls) == res.iterations_run == len(trace) - 1
+        for record, (counts, k_star) in zip(trace, calls):
+            assert np.array_equal(k_star, select_k_star_all(torus_small, record.d, cfg))
+            assert counts.tau == estimators.optimal_tau(record.d)
+            assert np.array_equal(counts.k_b, k_star - 1)
+        assert np.array_equal(res.state.k_star, select_k_star_all(torus_small, trace[-1].d, cfg))
+
+    @pytest.mark.parametrize("iterate", [0.0, -1.0, np.nan, np.inf])
+    def test_non_finite_or_non_positive_iterate_fails(self, torus_small, iterate):
+        with pytest.raises(OptimizationFailureError, match="non-finite or non-positive iterate"):
+            adaptive_mod._adaptive_loop(torus_small, small_config(), lambda counts, k_star: iterate)
 
     def test_determinism(self, torus_small):
         r1 = abide(torus_small, small_config())

@@ -211,6 +211,16 @@ class TestEstimateCommand:
         assert result.exit_code == 5
         assert error_json(result)["error"] == "degenerate-scale"
 
+    def test_graph_shallower_than_k_exit_code(self, runner, tmp_path):
+        # 20 points hold 19 neighbour orders, fewer than --k asks for
+        path, _ = self._torus_csv(tmp_path, n=20)
+        result = invoke(runner, ["estimate", "--input", path, "--periodic", "1",
+                                 "--method", "bide-k", "--k", "50", "--tau", "0.5"])
+        assert result.exit_code == 4
+        assert error_json(result) == {
+            "error": "insufficient-graph-depth", "message": "graph depth 19 < k=50",
+        }
+
     @staticmethod
     def _near_duplicates_csv(tmp_path, offset, spread):
         # 300 Gaussian points in 10-D, the first three within about ``spread`` of ``offset``
@@ -592,6 +602,10 @@ class TestOptionsCheckedBeforeGraph:
         ["estimate", "--method", "bide-r", "--tau", "0.5"],
         ["estimate", "--method", "bide-k", "--k", "5", "--tau", "1.5"],
         ["estimate", "--method", "twonn", "--periodic", "1,2,3"],
+        ["estimate", "--method", "abide", "--tol", "nan"],
+        ["estimate", "--method", "bide-r", "--tb", "nan", "--tau", "0.5"],
+        ["estimate", "--method", "babide", "--alpha0", "nan"],
+        ["estimate", "--method", "babide", "--beta0", "inf"],
     ], ids=" ".join)
     def test_cli_exit_code(self, runner, tmp_path, no_graph, args):
         path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n")
@@ -724,6 +738,23 @@ class TestFileErrors:
         err = error_json(result)
         assert err["error"] == "invalid-argument" and out in err["message"]
         assert calls == []
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--generator", "sine_toy", "--n", "20"], ["fetch-optdigits"],
+    ], ids=lambda v: v[0])
+    def test_stdout_is_no_file_output(self, runner, monkeypatch, tmp_path, command):
+        # generate and fetch-optdigits write files only: "-" is no file, and
+        # is rejected before a data set is made or a download starts
+        calls = []
+        monkeypatch.setattr(cli.datagen, "generate", lambda spec: calls.append("generate"))
+        monkeypatch.setattr(cli.urllib.request, "urlopen",
+                            lambda url, timeout: calls.append("urlopen"))
+        monkeypatch.chdir(tmp_path)
+        result = invoke(runner, command + ["--output", "-"])
+        assert result.exit_code == 2
+        err = error_json(result)
+        assert err["error"] == "invalid-argument" and "--output must name a file" in err["message"]
+        assert calls == [] and os.listdir(tmp_path) == []
 
     def test_unwritable_sidecar(self, runner, tmp_path):
         out = tmp_path / "g.csv"
@@ -906,6 +937,22 @@ class TestGenerateCommand:
             "ambient_dim": 4, "sigma_s": 1.0, "sigma_eps": 0.5, "ratio": 1.0, "seed": 3,
             "periodic": None,
         }
+
+    @pytest.mark.parametrize("command", [
+        ["generate"], ["benchmark", "--method", "twonn", "--threads", "1"],
+    ], ids=lambda v: v[0])
+    @pytest.mark.parametrize("args, message", [
+        (["--generator", "noisy_gaussian", "--d", "-1", "--ambient-dim", "3"], "nonnegative"),
+        (["--generator", "uniform_hypercube_periodic", "--d", "-2"], "nonnegative"),
+        (["--generator", "density_step_1d", "--ratio", "nan"], "ratio"),
+    ], ids=["d", "torus d", "ratio nan"])
+    def test_bad_spec_values_exit_code(self, runner, tmp_path, command, args, message):
+        out = tmp_path / "x.csv"
+        result = invoke(runner, command + args + ["--n", "20", "--output", str(out)])
+        assert result.exit_code == 2
+        err = error_json(result)
+        assert err["error"] == "invalid-argument" and message in err["message"]
+        assert not out.exists()
 
     def test_invalid_generator_args(self, runner, tmp_path):
         out = str(tmp_path / "x.csv")

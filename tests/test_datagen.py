@@ -151,6 +151,12 @@ class TestDensityStep:
         with pytest.raises(InvalidArgumentError):
             gen_density_step_1d(n=100, ratio=0.0)
 
+    @pytest.mark.parametrize("ratio", [np.nan, np.inf])
+    def test_non_finite_ratio(self, ratio):
+        # a NaN or inf ratio would draw every point from [0, 1)
+        with pytest.raises(InvalidArgumentError, match="ratio must be positive and finite"):
+            gen_density_step_1d(n=100, ratio=ratio)
+
 
 class TestGeneratorSpec:
     def test_unknown_kind(self):
@@ -164,6 +170,21 @@ class TestGeneratorSpec:
     def test_negative_scale(self):
         with pytest.raises(InvalidArgumentError):
             GeneratorSpec(kind="sine_toy", n=100, sigma_eps=-0.1)
+
+    @pytest.mark.parametrize("field", ["sigma_s", "sigma_eps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_scale(self, field, value):
+        with pytest.raises(InvalidArgumentError, match="scales must be nonnegative and finite"):
+            GeneratorSpec(kind="sine_toy", n=100, **{field: value})
+
+    @pytest.mark.parametrize("fields", [
+        {"kind": "noisy_gaussian", "d": -1, "ambient_dim": 3},
+        {"kind": "noisy_gaussian", "d": 1, "ambient_dim": -3},
+        {"kind": "uniform_hypercube_periodic", "d": -2},
+    ], ids=["d", "ambient_dim", "torus d"])
+    def test_negative_dimension(self, fields):
+        with pytest.raises(InvalidArgumentError, match="d and ambient_dim must be nonnegative"):
+            GeneratorSpec(n=20, **fields)
 
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_generator_defaults_are_the_spec_defaults(self, kind):
