@@ -42,8 +42,11 @@ from .validation import validate_model  # noqa: F401
 
 K_MIN = 2  # smallest tested neighbourhood; keeps k_B* = k* - 1 >= 1
 
-# rows per block of the onset build: 0.36 MB of flat positions at k_max = 350
-_ONSET_ROWS = 128
+# neighbour orders whose rejection onsets are built for every point up front;
+# on curved or noisy data most k* lie within them, so few points need more
+_ONSET_PREFIX = 96
+# onsets per block of the onset build: 0.36 MB of flat positions
+_ONSET_BLOCK = 128 * 349
 
 THRESHOLD_MODES = ("fixed", "bonferroni_h", "bonferroni_n", "bonferroni_nh")
 
@@ -162,11 +165,10 @@ def _flat_positions(indices: np.ndarray, depth: int, ks: np.ndarray, out: np.nda
     return out
 
 
-def _rejection_onsets(
-    graph: NeighborGraph, config: EstimatorConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _RejectionOnsets:
     """Per point, the smallest d at which some test of order K_MIN .. k
-    (k up to k_max) rejects, as a non-increasing step function of k.
+    (k up to k_max) rejects, as a non-increasing step function of k, built
+    only as far as the queried values of d need.
 
     With delta the log-radius gap |log r_{i,k} - log r_{j,k}|, the Wilks
     statistic equals 4k log cosh(d delta / 2), which increases with d, so
@@ -177,56 +179,109 @@ def _rejection_onsets(
     running minimum is > d.
 
     Only the places where a row's running minimum steps down are kept, in
-    CSR form.  Returns ``(values, cols, row_ptr)``: every row's step values
-    and the columns k - K_MIN where the steps start, in row order, and the
-    position of row i's first step at ``row_ptr[i]``.  Every row has a step
-    at column 0, so ``row_ptr`` is strictly increasing.  Rows are built in
-    blocks, so neither the onsets nor their flat positions are ever an
-    n-row temporary.
+    CSR form: ``values`` and ``cols`` hold every row's step values and the
+    columns k - K_MIN where the steps start, in row order, and row i's
+    first step is at ``row_ptr[i]``.  Every row has a step at column 0, so
+    ``row_ptr`` is strictly increasing.
+
+    The first ``_ONSET_PREFIX`` orders are built for every row at once.
+    k*(d) lies past them only in a row whose running minimum there is above
+    d, so ``k_star(d)`` first builds the rest of each such row, once per
+    row, carrying its running minimum on, and merges those steps into the
+    lists.  Rows are built in blocks, so neither the onsets nor their flat
+    positions are ever an n-row temporary.
     """
-    k_max = config.k_max
-    _require_depth(graph, k_max)
-    ks = np.arange(K_MIN, k_max + 1)
-    t = config.rejection_threshold(graph.n_points) / (4.0 * ks)
-    # arccosh(e^t) = t + log1p(sqrt(1 - e^-2t)): no cancellation, no overflow
-    u = 2.0 * (t + np.log1p(np.sqrt(-np.expm1(-2.0 * t))))
-    radii = graph.distances.ravel()
-    shape = (min(_ONSET_ROWS, graph.n_points), ks.size)
-    onsets = np.empty(shape)
-    flat = np.empty(shape, dtype=np.int64)
-    steps = np.empty(shape, dtype=bool)
-    steps[:, 0] = True
-    values, cols = [], []
-    for start in range(0, graph.n_points, _ONSET_ROWS):
-        rows = slice(start, min(start + _ONSET_ROWS, graph.n_points))
-        m = rows.stop - start
-        block = onsets[:m]
-        # j = index of i's (k+1)-th NN; its own k-th NN distance closes the
-        # test: one gather of r_{j,k}; "clip" (every position is in range)
-        # writes straight into the block
-        pos = _flat_positions(graph.indices[rows, K_MIN : k_max + 1], graph.depth, ks, flat[:m])
-        radii.take(pos, out=block, mode="clip")
-        np.log(block, out=block)
-        # the flat positions are spent, so their buffer takes log r_{i,k}
-        log_r_i = np.log(graph.distances[rows, K_MIN - 1 : k_max], out=pos.view(np.float64))
-        block -= log_r_i
-        np.abs(block, out=block)
-        # two zero radii leave a NaN gap, whose statistic is NaN and never rejects
-        np.fmax(block, 0.0, out=block)
-        with np.errstate(divide="ignore"):
-            np.divide(u, block, out=block)
-        np.minimum.accumulate(block, axis=1, out=block)
-        # a step starts at column 0 and wherever the running minimum falls
-        np.less(block[:, 1:], block[:, :-1], out=steps[:m, 1:])
-        at = np.flatnonzero(steps[:m])
-        values.append(block.take(at))
-        cols.append(at % ks.size)
-    cols = np.concatenate(cols)
-    return np.concatenate(values), cols, np.flatnonzero(cols == 0)
+
+    def __init__(self, graph: NeighborGraph, config: EstimatorConfig):
+        self.graph, self.k_max = graph, config.k_max
+        _require_depth(graph, self.k_max)
+        ks = np.arange(K_MIN, self.k_max + 1)
+        t = config.rejection_threshold(graph.n_points) / (4.0 * ks)
+        # arccosh(e^t) = t + log1p(sqrt(1 - e^-2t)): no cancellation, no overflow
+        self._u = 2.0 * (t + np.log1p(np.sqrt(-np.expm1(-2.0 * t))))
+        self._prefix = min(_ONSET_PREFIX, ks.size)
+        self.values, self.cols, sizes = self._build(np.arange(graph.n_points), 0, self._prefix, None)
+        self.row_ptr = np.cumsum(sizes) - sizes
+        # per row, the running minimum of its built onsets; -inf once the
+        # row is complete, as every row is when the prefix holds all orders
+        self._reach = np.full(graph.n_points, -np.inf)
+        if self._prefix < ks.size:
+            self._reach = self.values[self.row_ptr + sizes - 1]
+
+    def _build(self, rows, start, stop, carry):
+        """The steps of the running minima of ``rows`` (ascending) over the
+        columns ``start:stop``, continuing from their running minima
+        ``carry`` over the columns before, or starting at column 0 for
+        ``carry=None``.  Returns the step values, their columns and each
+        row's step count."""
+        graph, u = self.graph, self._u[start:stop]
+        ks = np.arange(K_MIN + start, K_MIN + stop)
+        radii = graph.distances.ravel()
+        block_rows = max(1, _ONSET_BLOCK // ks.size)
+        shape = (min(block_rows, rows.size), ks.size)
+        onsets = np.empty(shape)
+        flat = np.empty(shape, dtype=np.int64)
+        steps = np.empty(shape, dtype=bool)
+        values, cols, sizes = [], [], []
+        for first in range(0, rows.size, block_rows):
+            chunk = rows[first : first + block_rows]
+            m = chunk.size
+            if chunk[-1] - chunk[0] == m - 1:
+                # consecutive rows: read views, not copies
+                chunk = slice(chunk[0], chunk[0] + m)
+            block = onsets[:m]
+            # j = index of i's (k+1)-th NN; its own k-th NN distance closes the
+            # test: one gather of r_{j,k}; "clip" (every position is in range)
+            # writes straight into the block
+            pos = _flat_positions(graph.indices[chunk, ks[0] : ks[-1] + 1], graph.depth, ks, flat[:m])
+            radii.take(pos, out=block, mode="clip")
+            np.log(block, out=block)
+            # the flat positions are spent, so their buffer takes log r_{i,k}
+            log_r_i = np.log(graph.distances[chunk, ks[0] - 1 : ks[-1]], out=pos.view(np.float64))
+            block -= log_r_i
+            np.abs(block, out=block)
+            with np.errstate(divide="ignore"):
+                np.divide(u, block, out=block)
+            # two zero radii leave a NaN gap and onset, which fmin skips like
+            # the +inf of a test that never rejects; the first column takes
+            # the running minimum so far, so none is left in the running minima
+            before = np.inf if carry is None else carry[first : first + m]
+            np.fmin(block[:, 0], before, out=block[:, 0])
+            np.fmin.accumulate(block, axis=1, out=block)
+            # a step starts wherever the running minimum falls, and at column 0
+            np.less(block[:, 1:], block[:, :-1], out=steps[:m, 1:])
+            if carry is None:
+                steps[:m, 0] = True
+            else:
+                np.less(block[:, 0], before, out=steps[:m, 0])
+            at = np.flatnonzero(steps[:m])
+            row, col = np.divmod(at, ks.size)
+            values.append(block.take(at))
+            cols.append(col + start)
+            sizes.append(np.bincount(row, minlength=m))
+        return np.concatenate(values), np.concatenate(cols), np.concatenate(sizes)
+
+    def k_star(self, d: float) -> np.ndarray:
+        """k* at d for every point, after building the orders past the
+        prefix of the rows that need them."""
+        rows = np.flatnonzero(self._reach > d)
+        if rows.size:
+            values, cols, sizes = self._build(rows, self._prefix, self.k_max - K_MIN + 1,
+                                              self._reach[rows])
+            self._reach[rows] = -np.inf
+            # each row's new steps go after its old ones, before the next row
+            ends = np.append(self.row_ptr[1:], self.values.size)
+            at = np.repeat(ends[rows], sizes)
+            self.values = np.insert(self.values, at, values)
+            self.cols = np.insert(self.cols, at, cols)
+            added = np.zeros_like(self.row_ptr)
+            added[rows] = sizes
+            self.row_ptr += np.cumsum(added) - added
+        return _k_star_from_onsets((self.values, self.cols, self.row_ptr), d, self.k_max)
 
 
 def _k_star_from_onsets(onsets, d: float, k_max: int) -> np.ndarray:
-    """k* at d from the step lists of ``_rejection_onsets``: K_MIN plus the
+    """k* at d from the step lists of ``_RejectionOnsets``: K_MIN plus the
     column of each row's first step at or below d, and k_max where there is
     none."""
     values, cols, row_ptr = onsets
@@ -238,7 +293,7 @@ def select_k_star_all(graph: NeighborGraph, d: float, config: EstimatorConfig) -
     capped at k_max (k_max when no rejection occurs)."""
     if not 0.0 < d < np.inf:
         raise InvalidArgumentError(f"dimension must be positive and finite, got {d}")
-    return _k_star_from_onsets(_rejection_onsets(graph, config), d, config.k_max)
+    return _RejectionOnsets(graph, config).k_star(d)
 
 
 def _assemble_counts(graph, k_star, tau, k_max):
@@ -263,10 +318,10 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     # depth first, then two-NN: a degenerate graph raises before the onset build
     _require_depth(graph, config.k_max)
     trace = [IterationRecord(d=twonn_estimate(graph).d, mean_k_star=2.0)]
-    onsets = _rejection_onsets(graph, config)
+    onsets = _RejectionOnsets(graph, config)
 
     def state_at(d):
-        k_star = _k_star_from_onsets(onsets, d, config.k_max)
+        k_star = onsets.k_star(d)
         return _assemble_counts(graph, k_star, optimal_tau(d), config.k_max)
 
     converged = False

@@ -67,6 +67,11 @@ def gen_noisy_gaussian(
     coordinates, with iid Gaussian noise added to every coordinate."""
     if d > ambient_dim:
         raise InvalidArgumentError(f"d={d} exceeds ambient dimension {ambient_dim}")
+    if sigma_eps == 0 and (d == 0 or sigma_s == 0):
+        raise InvalidArgumentError(
+            "noisy_gaussian has no spread: every point would be the origin; "
+            "set d > 0 and sigma_s > 0, or sigma_eps > 0"
+        )
     rng, noise_rng = _streams(seed)
     pts = np.zeros((n, ambient_dim))
     pts[:, :d] = rng.normal(0.0, 1.0, size=(n, d)) * sigma_s

@@ -259,12 +259,27 @@ def _k_smallest(block: np.ndarray, idx: np.ndarray, dist: np.ndarray) -> None:
 
 def counts_within_open_balls(graph: NeighborGraph, radii: np.ndarray) -> np.ndarray:
     """Number of stored neighbours of each point strictly inside its radius
-    (centre and boundary excluded), one radius per point."""
+    (centre and boundary excluded), one radius per point.
+
+    Each row is sorted, so its count is found by bisection: one gather of n
+    distances per bit of the depth, ceil(log2(depth + 1)) in all.  A count
+    grows by a power of two while the distance it would take in is below
+    the radius, which a NaN or negative radius never lets happen."""
     radii = np.asarray(radii, dtype=np.float64)
-    beyond = radii > graph.distances[:, -1]
+    distances = graph.distances
+    beyond = radii > distances[:, -1]
     if np.any(beyond):
         i = int(np.argmax(beyond))
         raise InsufficientGraphDepthError(
             f"radius {radii[i]} exceeds stored horizon for point {i}"
         )
-    return (graph.distances < radii[:, None]).sum(axis=1).astype(np.int64)
+    n, depth = distances.shape
+    # flat position of each row's entry before its first, so row + c reads r_{i,c}
+    row = np.arange(n, dtype=np.int64) * depth - 1
+    count = np.zeros(n, dtype=np.int64)
+    for bit in reversed(range(depth.bit_length())):
+        # no radius exceeds its row's last distance, so a probe clipped to
+        # the row's end never takes that entry in
+        probe = np.minimum(count + (1 << bit), depth)
+        np.copyto(count, probe, where=distances.take(row + probe) < radii)
+    return count

@@ -18,7 +18,7 @@ from idscale.adaptive import (
     EstimatorConfig,
     _flat_positions,
     _k_star_from_onsets,
-    _rejection_onsets,
+    _RejectionOnsets,
     abide,
     agride,
     babide,
@@ -30,6 +30,7 @@ from idscale.adaptive import (
 )
 from idscale.datagen import (
     gen_density_step_1d,
+    gen_moebius,
     gen_sine_toy,
     gen_uniform_hypercube_periodic,
 )
@@ -284,10 +285,80 @@ class TestRejectionOnsets:
         cfg = EstimatorConfig(k_max=80, alpha=alpha_for(1e-6))
         for d in (0.1, 2.0, 1e3):
             assert np.all(select_k_star_all(graph, d, cfg) == cfg.k_max)
-        # so each row is one +inf step, at column 0
-        values, cols, row_ptr = _rejection_onsets(graph, cfg)
+        # so each row is one +inf step, at column 0, also once every row's
+        # orders past the prefix are built
+        onsets = _RejectionOnsets(graph, cfg)
+        onsets.k_star(0.1)
+        values, cols, row_ptr = onsets.values, onsets.cols, onsets.row_ptr
         assert np.all(values == np.inf) and np.all(cols == 0)
         np.testing.assert_array_equal(row_ptr, np.arange(graph.n_points))
+
+    @pytest.mark.parametrize(
+        "graph_name", ["euclidean", "zero_radii", "periodic", "lattice", "periodic_lattice"]
+    )
+    @pytest.mark.parametrize("prefix", [5, adaptive_mod._ONSET_PREFIX])
+    @pytest.mark.parametrize("queries", [
+        pytest.param(np.geomspace(0.2, 20.0, 12), id="rising"),
+        pytest.param(np.geomspace(20.0, 0.2, 12), id="falling"),
+        # from d where most k* lie inside the prefix to far below it, and back
+        pytest.param([20.0, 8.0, 0.05, 12.0, 0.01], id="jumping"),
+    ])
+    def test_query_sequences_match_lrt_reference(self, onset_graphs, graph_name, prefix, queries,
+                                                 monkeypatch):
+        # one builder answers the whole sequence, building tails as d falls
+        graph = onset_graphs[graph_name]
+        cfg = EstimatorConfig(k_max=80)
+        monkeypatch.setattr(adaptive_mod, "_ONSET_PREFIX", prefix)
+        with np.errstate(divide="ignore", invalid="ignore"):  # log of zero radii
+            onsets = _RejectionOnsets(graph, cfg)
+            for d in queries:
+                np.testing.assert_array_equal(onsets.k_star(d), reference_k_star(graph, d, cfg))
+        # each row's steps, tails merged in, run in column order with falling values
+        row = np.repeat(np.arange(graph.n_points), np.diff(onsets.row_ptr, append=onsets.cols.size))
+        same_row = row[1:] == row[:-1]
+        assert np.all((onsets.cols[1:] > onsets.cols[:-1])[same_row])
+        assert np.all((onsets.values[1:] < onsets.values[:-1])[same_row])
+
+    def count_onsets(self, monkeypatch):
+        """Spy on ``_flat_positions``: a list whose sum is the onsets built."""
+        built = []
+
+        def spy(indices, depth, ks, out):
+            built.append(out.size)
+            return _flat_positions(indices, depth, ks, out)
+
+        monkeypatch.setattr(adaptive_mod, "_flat_positions", spy)
+        return built
+
+    @pytest.mark.parametrize("k_max", [80, 60])
+    def test_no_tail_at_or_below_the_prefix(self, onset_graphs, k_max, monkeypatch):
+        # k_max - 1 orders, no more than the prefix: all built at once
+        graph = onset_graphs["euclidean"]
+        cfg = EstimatorConfig(k_max=k_max)
+        monkeypatch.setattr(adaptive_mod, "_ONSET_PREFIX", 80 - K_MIN + 1)
+        built = self.count_onsets(monkeypatch)
+        onsets = _RejectionOnsets(graph, cfg)
+        assert sum(built) == graph.n_points * (cfg.k_max - 1)
+        for d in (20.0, 1.0, 0.01):
+            np.testing.assert_array_equal(onsets.k_star(d), reference_k_star(graph, d, cfg))
+        assert sum(built) == graph.n_points * (cfg.k_max - 1)
+
+    def test_rows_that_never_reject_build_every_order_once(self, onset_graphs, monkeypatch):
+        graph = onset_graphs["periodic_lattice"]
+        cfg = EstimatorConfig(k_max=80)
+        built = self.count_onsets(monkeypatch)
+        onsets = _RejectionOnsets(graph, cfg)
+        for d in (1e3, 2.0, 0.1, 0.01):
+            assert np.all(onsets.k_star(d) == cfg.k_max)
+        assert sum(built) == graph.n_points * (cfg.k_max - 1)
+
+    def test_small_neighbourhoods_build_few_orders(self, monkeypatch):
+        # Moebius k* are small: most points reject inside the prefix
+        graph = build_neighbor_graph(gen_moebius(n=1000, sigma_eps=1e-3, ambient_dim=20, seed=0), K=351)
+        cfg = EstimatorConfig()
+        built = self.count_onsets(monkeypatch)
+        abide(graph, cfg)
+        assert 0 < sum(built) < graph.n_points * (cfg.k_max - 1) / 2
 
     def test_step_lookup_matches_the_dense_count(self):
         # rows of running minima over the orders K_MIN..k_max, and their steps

@@ -945,7 +945,10 @@ class TestGenerateCommand:
         (["--generator", "noisy_gaussian", "--d", "-1", "--ambient-dim", "3"], "nonnegative"),
         (["--generator", "uniform_hypercube_periodic", "--d", "-2"], "nonnegative"),
         (["--generator", "density_step_1d", "--ratio", "nan"], "ratio"),
-    ], ids=["d", "torus d", "ratio nan"])
+        (["--generator", "noisy_gaussian", "--d", "0", "--ambient-dim", "3"], "no spread"),
+        (["--generator", "noisy_gaussian", "--d", "2", "--ambient-dim", "3", "--sigma-s", "0"],
+         "no spread"),
+    ], ids=["d", "torus d", "ratio nan", "no spread d", "no spread sigma_s"])
     def test_bad_spec_values_exit_code(self, runner, tmp_path, command, args, message):
         out = tmp_path / "x.csv"
         result = invoke(runner, command + args + ["--n", "20", "--output", str(out)])

@@ -76,6 +76,17 @@ class TestNoisyGaussian:
         noise = noise_rng.normal(0.0, 1.0, size=(n, dim)) * sigma
         assert np.allclose(clean.points + noise, noisy.points, atol=1e-15)
 
+    @pytest.mark.parametrize("fields", [
+        {"d": 0}, {"sigma_s": 0.0}, {"d": 0, "sigma_s": 0.0},
+    ], ids=["no signal dimension", "no signal scale", "neither"])
+    def test_no_spread_rejected(self, fields):
+        # without noise, a spec with no signal puts every point at the origin
+        spec = {"n": 20, "d": 2, "ambient_dim": 3, "sigma_eps": 0.0, **fields}
+        with pytest.raises(InvalidArgumentError, match="no spread"):
+            gen_noisy_gaussian(**spec)
+        # noise alone spreads the points
+        assert gen_noisy_gaussian(**{**spec, "sigma_eps": 0.1}).points.std() > 0
+
     def test_signal_exceeding_ambient_rejected(self):
         with pytest.raises(InvalidArgumentError):
             gen_noisy_gaussian(n=100, d=5, ambient_dim=3)

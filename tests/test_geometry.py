@@ -458,6 +458,46 @@ class TestOpenBallCounts:
         with pytest.raises(InsufficientGraphDepthError, match="point 0"):
             counts_within_open_balls(g, np.array([5.0, 0.5, 0.5]))
 
+    @staticmethod
+    def graph_of(distances):
+        """A graph holding the given sorted rows (indices are not read)."""
+        n = distances.shape[0]
+        return geometry.NeighborGraph(distances, np.zeros(distances.shape, dtype=np.int32),
+                                      Dataset(np.zeros((n, 1))))
+
+    @pytest.mark.parametrize("depth", [1, 2, 255, 256, 351])
+    def test_bisection_matches_the_dense_count(self, depth):
+        rng = np.random.default_rng(depth)
+        n = 40
+        # runs of tied distances: values on a coarse grid
+        distances = np.sort(rng.integers(1, 12, size=(n, depth)) / 4.0, axis=1)
+        g = self.graph_of(distances)
+        last = distances[:, -1]
+        stored = distances[np.arange(n), rng.integers(depth, size=n)]
+        cases = {
+            "uniform": rng.uniform(0.0, 1.0, size=n) * last,
+            "stored": stored,
+            "last": last,
+            "just_above_stored": np.minimum(np.nextafter(stored, np.inf), last),
+            "zero": np.zeros(n),
+            "negative": -rng.uniform(0.1, 1.0, size=n),
+            "nan": np.full(n, np.nan),
+            "mixed": np.where(np.arange(n) % 3 == 0, np.nan, np.where(np.arange(n) % 3 == 1, -1.0, stored)),
+        }
+        for name, radii in cases.items():
+            expected = (distances < radii[:, None]).sum(axis=1)
+            got = counts_within_open_balls(g, radii)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+
+    @pytest.mark.parametrize("depth", [1, 2, 255, 256, 351])
+    def test_beyond_horizon_at_any_depth(self, depth):
+        distances = np.tile(np.arange(1.0, depth + 1.0), (5, 1))
+        radii = np.full(5, float(depth))
+        radii[3] = np.nextafter(float(depth), np.inf)
+        with pytest.raises(InsufficientGraphDepthError, match="point 3"):
+            counts_within_open_balls(self.graph_of(distances), radii)
+
     def test_random_pairs_match_brute_force(self):
         rng = np.random.default_rng(6)
         for dim in (1, 2):
