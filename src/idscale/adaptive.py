@@ -114,17 +114,13 @@ class EstimatorConfig:
 
 @dataclass
 class AdaptiveState:
-    """Per-point optimal neighbourhood and the derived ball counts/radii."""
+    """Per-point optimal neighbourhood k*, its outer radius t_b = r_{i,k*},
+    and the binomial counts there: k_B = k* - 1, and k_A inside tau * t_b."""
 
     k_star: np.ndarray
-    ka_star: np.ndarray
     t_b: np.ndarray
-    t_a: np.ndarray
+    counts: BinomialCounts
     k_max: int
-
-    @property
-    def kb_star(self) -> np.ndarray:
-        return self.k_star - 1
 
     @property
     def saturation_fraction(self) -> float:
@@ -296,15 +292,6 @@ def select_k_star_all(graph: NeighborGraph, d: float, config: EstimatorConfig) -
     return _RejectionOnsets(graph, config).k_star(d)
 
 
-def _assemble_counts(graph, k_star, tau, k_max):
-    rows = np.arange(graph.n_points)
-    t_b = graph.distances[rows, k_star - 1]
-    t_a = tau * t_b
-    ka_star = counts_within_open_balls(graph, t_a)
-    state = AdaptiveState(k_star=k_star, ka_star=ka_star, t_b=t_b, t_a=t_a, k_max=k_max)
-    return state, BinomialCounts(k_a=ka_star, k_b=k_star - 1, tau=tau)
-
-
 def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> AbideResult:
     """Shared fixed-point skeleton: start from the two-NN estimate, then
     iterate d -> update(counts, k*) at the k*(d) and tau(d) of ``state_at``
@@ -317,26 +304,29 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
         warnings.warn(f"adaptive estimation on only {n} points is unreliable", stacklevel=3)
     # depth first, then two-NN: a degenerate graph raises before the onset build
     _require_depth(graph, config.k_max)
-    trace = [IterationRecord(d=twonn_estimate(graph).d, mean_k_star=2.0)]
+    trace = twonn_estimate(graph).trace
     onsets = _RejectionOnsets(graph, config)
+    rows = np.arange(n)
 
     def state_at(d):
-        k_star = onsets.k_star(d)
-        return _assemble_counts(graph, k_star, optimal_tau(d), config.k_max)
+        k_star, tau = onsets.k_star(d), optimal_tau(d)
+        t_b = graph.distances[rows, k_star - 1]
+        counts = BinomialCounts(k_a=counts_within_open_balls(graph, tau * t_b), k_b=k_star - 1, tau=tau)
+        return AdaptiveState(k_star=k_star, t_b=t_b, counts=counts, k_max=config.k_max)
 
     converged = False
     while not converged and len(trace) <= config.max_iter:
-        state, counts = state_at(trace[-1].d)
-        d = update(counts, state.k_star)
+        state = state_at(trace[-1].d)
+        d = update(state.counts, state.k_star)
         if not np.isfinite(d) or d <= 0:
             raise OptimizationFailureError(f"non-finite or non-positive iterate {d}")
         converged = abs(trace[-1].d - d) < config.delta
         trace.append(IterationRecord(d=d, mean_k_star=float(state.k_star.mean())))
 
     d = trace[-1].d
-    state, counts = state_at(d)
+    state = state_at(d)
     del onsets  # spent: freed before the fit check's synthetic draws
-    estimate = _finish_bide(graph, counts, d, config.beta_ci)
+    estimate = _finish_bide(graph, state.counts, d, config.beta_ci)
     return AbideResult(estimate=replace(estimate, trace=trace), state=state,
                        iterations_run=len(trace) - 1, converged=converged)
 

@@ -160,7 +160,7 @@ def _k_star_summary(state: adaptive_mod.AdaptiveState) -> dict:
         "histogram": {"counts": hist_vals.tolist(), "edges": hist_edges.tolist()},
         "saturation_fraction": state.saturation_fraction,
         "mean_t_b": float(state.t_b.mean()),
-        "mean_t_a": float(state.t_a.mean()),
+        "mean_t_a": float((state.counts.tau * state.t_b).mean()),
     }
 
 

@@ -134,7 +134,9 @@ def fisher_interval(d_star, tau, kb_values, beta=BETA_CI):
 def _normal_interval(d_star, total_info, beta):
     if not 0.0 < beta < 1.0:
         raise InvalidArgumentError(f"beta must lie in (0, 1), got {beta}")
-    half = special.ndtri(1.0 - beta / 2.0) / np.sqrt(total_info)
+    # the normal quantile from the upper tail: 1 - beta/2 rounds to 1 (ndtri
+    # inf) for beta below about 1e-16, and loses digits well before that
+    half = -special.ndtri(beta / 2.0) / np.sqrt(total_info)
     return (float(d_star - half), float(d_star + half))
 
 

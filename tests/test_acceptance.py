@@ -168,7 +168,7 @@ def test_criterion_06b_ratio_likelihood_reduces_to_twonn():
 
 def test_criterion_06c_bayesian_matches_closed_form(hypercube5_graph, hypercube5_abide):
     res_b = babide(hypercube5_graph, EstimatorConfig())
-    sum_kb = int(hypercube5_abide.state.kb_star.sum())
+    sum_kb = int(hypercube5_abide.state.counts.k_b.sum())
     delta = abs(res_b.estimate.d - hypercube5_abide.estimate.d)
     ok = sum_kb > 1000 and delta < 0.01
     report(6, "(c) posterior mean vs closed form", ok,

@@ -405,8 +405,9 @@ class TestAbide:
         res = abide(torus_small, small_config())
         st = res.state
         assert np.all(st.k_star >= K_MIN) and np.all(st.k_star <= st.k_max)
-        assert np.all(st.ka_star >= 0) and np.all(st.ka_star <= st.kb_star)
-        assert np.all(st.t_a < st.t_b)
+        assert np.all(st.counts.k_a >= 0) and np.all(st.counts.k_a <= st.counts.k_b)
+        assert np.array_equal(st.counts.k_b, st.k_star - 1)
+        assert st.counts.tau == res.estimate.tau
         assert st.k_max == 100
         assert 0.0 <= st.saturation_fraction <= 1.0
         assert 1.85 <= res.estimate.d <= 2.15
@@ -565,7 +566,7 @@ class TestFitCheck:
         res = method(torus_small, small_config(max_iter=max_iter))
         assert len(calls) == 1
         st, est = res.state, res.estimate
-        assert est.validation_p == validate_model(st.ka_star, st.kb_star, est.d, est.tau).p_value
+        assert est.validation_p == validate_model(st.counts.k_a, st.counts.k_b, est.d, est.tau).p_value
 
 
 class TestRunMethod:
@@ -608,7 +609,9 @@ class TestRunMethod:
         assert asdict(permuted.estimate) == asdict(base.estimate)
         if base.state is not None:
             assert np.array_equal(permuted.state.k_star, base.state.k_star[perm])
-            assert np.array_equal(permuted.state.ka_star, base.state.ka_star[perm])
+            assert np.array_equal(permuted.state.counts.k_a, base.state.counts.k_a[perm])
+            assert np.array_equal(permuted.state.counts.k_b, base.state.counts.k_b[perm])
+            assert np.array_equal(permuted.state.t_b, base.state.t_b[perm])
 
     @pytest.mark.parametrize("method", METHODS)
     def test_translation_is_bit_exact(self, translated, method):

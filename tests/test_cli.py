@@ -173,6 +173,34 @@ class TestEstimateCommand:
         for entry in report["estimate"]["trace"]:
             assert set(entry) == {"d", "mean_k_star"}
 
+    def test_mean_inner_radius_is_tau_times_mean_outer_radius(self, runner, tmp_path):
+        path, _ = self._torus_csv(tmp_path)
+        result = invoke(runner, ["estimate", "--method", "abide", "--input", path, "--periodic", "1"])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        mean_t_b = report["k_star"]["mean_t_b"]
+        assert report["k_star"]["mean_t_a"] == pytest.approx(
+            report["estimate"]["tau"] * mean_t_b, rel=1e-12)
+        assert 0.0 < mean_t_b < 0.5
+
+    @pytest.mark.parametrize("method, extra", [
+        ("twonn", []), ("abide", ["--kmax", "100"]), ("bide-k", ["--k", "10", "--tau", "0.5"]),
+    ])
+    def test_small_beta_ci_gives_finite_interval(self, runner, tmp_path, method, extra):
+        path = str(tmp_path / "gauss.csv")
+        save_dataset_csv(datagen.gen_noisy_gaussian(n=300, d=2, ambient_dim=20, sigma_eps=1e-3), path)
+        result = invoke(runner, [
+            "estimate", "--method", method, "--input", path, "--beta-ci", "1e-17", *extra,
+        ])
+        assert result.exit_code == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        est = json.loads(result.stdout, parse_constant=reject)["estimate"]
+        lo, hi = est["ci"]
+        assert lo < est["d"] < hi
+
     def test_degenerate_scale_exit_code(self, runner, tmp_path):
         path, _ = self._torus_csv(tmp_path)
         result = invoke(runner, [

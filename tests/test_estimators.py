@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import special
 from hypothesis import strategies as st
 
 from idscale import estimators
@@ -281,6 +282,16 @@ class TestFisherInterval:
         with pytest.raises(DegenerateScaleError):
             fisher_interval(1.0, 0.5, [0, 0], beta=0.05)
 
+    @pytest.mark.parametrize("beta", [0.05, 1e-6, 1e-17, 1e-300])
+    def test_small_beta_keeps_the_quantile(self, beta):
+        # 1 - beta/2 rounds to 1 below beta ~ 1e-16, where its quantile is inf
+        lo, hi = fisher_interval(1.0, 0.5, [1], beta=beta)
+        info = (np.log(0.5) ** 2) * 0.5 * 1.0 / 0.5
+        assert np.isfinite(lo) and np.isfinite(hi)
+        quantile = np.sqrt(2.0) * special.erfcinv(beta)
+        assert (hi - 1.0) * np.sqrt(info) == pytest.approx(quantile, rel=1e-13)
+        assert (1.0 - lo) * np.sqrt(info) == pytest.approx(quantile, rel=1e-13)
+
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, 2.0])
     def test_beta_outside_unit_interval(self, beta):
         # beta in [1, 2) would give a zero-width or reversed interval
@@ -485,7 +496,7 @@ class TestPairOverlap:
         else:
             res = abide(g, EstimatorConfig(k_max=30))
             est = res.estimate
-            counts = BinomialCounts(k_a=res.state.ka_star, k_b=res.state.kb_star, tau=est.tau)
+            counts = res.state.counts
         factor = pair_overlap_factor(g, counts, est.d)
         assert factor > 1.0
         assert est.fisher_info == fisher_information(est.d, est.tau, counts.k_b) / factor
