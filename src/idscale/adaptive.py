@@ -172,20 +172,22 @@ class _RejectionOnsets:
     u_k = 2 arccosh(exp(D_thr / 4k)).  A zero gap never rejects (onset
     +inf).  The running minimum along k makes each row non-increasing, so
     the tests passed before the first rejection at d are the orders whose
-    running minimum is > d.
+    running minimum is > d, and k*(d) - K_MIN is the smallest column among
+    the row's steps at or below d.
 
-    Only the places where a row's running minimum steps down are kept, in
-    CSR form: ``values`` and ``cols`` hold every row's step values and the
-    columns k - K_MIN where the steps start, in row order, and row i's
-    first step is at ``row_ptr[i]``.  Every row has a step at column 0, so
-    ``row_ptr`` is strictly increasing.
+    Only the places where a running minimum steps down are kept, as one
+    flat list in no particular order: ``values`` holds the step values,
+    ``cols`` the columns k - K_MIN where they start and ``rows`` their
+    points.
 
     The first ``_ONSET_PREFIX`` orders are built for every row at once.
-    k*(d) lies past them only in a row whose running minimum there is above
+    k*(d) lies past them only in a row whose smallest prefix step is above
     d, so ``k_star(d)`` first builds the rest of each such row, once per
-    row, carrying its running minimum on, and merges those steps into the
-    lists.  Rows are built in blocks, so neither the onsets nor their flat
-    positions are ever an n-row temporary.
+    row, as a running minimum of its own, and appends its steps.  A tail
+    step above the prefix's minimum can lie at or below d only when that
+    minimum does too, at a smaller column, so it never decides k*.  Rows
+    are built in blocks, so neither the onsets nor their flat positions
+    are ever an n-row temporary.
     """
 
     def __init__(self, graph: NeighborGraph, config: EstimatorConfig):
@@ -196,20 +198,16 @@ class _RejectionOnsets:
         # arccosh(e^t) = t + log1p(sqrt(1 - e^-2t)): no cancellation, no overflow
         self._u = 2.0 * (t + np.log1p(np.sqrt(-np.expm1(-2.0 * t))))
         self._prefix = min(_ONSET_PREFIX, ks.size)
-        self.values, self.cols, sizes = self._build(np.arange(graph.n_points), 0, self._prefix, None)
-        self.row_ptr = np.cumsum(sizes) - sizes
-        # per row, the running minimum of its built onsets; -inf once the
-        # row is complete, as every row is when the prefix holds all orders
-        self._reach = np.full(graph.n_points, -np.inf)
-        if self._prefix < ks.size:
-            self._reach = self.values[self.row_ptr + sizes - 1]
+        self.values, self.cols, self.rows = self._build(np.arange(graph.n_points), 0, self._prefix)
+        # per row, its smallest built onset; -inf once the row is complete,
+        # as every row is when the prefix holds all orders
+        self._reach = np.full(graph.n_points, np.inf if self._prefix < ks.size else -np.inf)
+        np.minimum.at(self._reach, self.rows, self.values)
 
-    def _build(self, rows, start, stop, carry):
-        """The steps of the running minima of ``rows`` (ascending) over the
-        columns ``start:stop``, continuing from their running minima
-        ``carry`` over the columns before, or starting at column 0 for
-        ``carry=None``.  Returns the step values, their columns and each
-        row's step count."""
+    def _build(self, rows, start, stop):
+        """The steps of the running minima of ``rows`` (ascending), each
+        taken over the columns ``start:stop`` alone.  Returns the step
+        values, their columns and their rows."""
         graph, u = self.graph, self._u[start:stop]
         ks = np.arange(K_MIN + start, K_MIN + stop)
         radii = graph.distances.ravel()
@@ -218,7 +216,8 @@ class _RejectionOnsets:
         onsets = np.empty(shape)
         flat = np.empty(shape, dtype=np.int64)
         steps = np.empty(shape, dtype=bool)
-        values, cols, sizes = [], [], []
+        steps[:, 0] = True  # every running minimum starts a step at column start
+        values, cols, step_rows = [], [], []
         for first in range(0, rows.size, block_rows):
             chunk = rows[first : first + block_rows]
             m = chunk.size
@@ -239,49 +238,40 @@ class _RejectionOnsets:
             with np.errstate(divide="ignore"):
                 np.divide(u, block, out=block)
             # two zero radii leave a NaN gap and onset, which fmin skips like
-            # the +inf of a test that never rejects; the first column takes
-            # the running minimum so far, so none is left in the running minima
-            before = np.inf if carry is None else carry[first : first + m]
-            np.fmin(block[:, 0], before, out=block[:, 0])
+            # the +inf of a test that never rejects; a NaN first column
+            # becomes +inf, so none is left in the running minima
+            np.fmin(block[:, 0], np.inf, out=block[:, 0])
             np.fmin.accumulate(block, axis=1, out=block)
-            # a step starts wherever the running minimum falls, and at column 0
+            # a step starts wherever the running minimum falls
             np.less(block[:, 1:], block[:, :-1], out=steps[:m, 1:])
-            if carry is None:
-                steps[:m, 0] = True
-            else:
-                np.less(block[:, 0], before, out=steps[:m, 0])
             at = np.flatnonzero(steps[:m])
             row, col = np.divmod(at, ks.size)
             values.append(block.take(at))
             cols.append(col + start)
-            sizes.append(np.bincount(row, minlength=m))
-        return np.concatenate(values), np.concatenate(cols), np.concatenate(sizes)
+            step_rows.append(rows[first + row])
+        return np.concatenate(values), np.concatenate(cols), np.concatenate(step_rows)
 
     def k_star(self, d: float) -> np.ndarray:
         """k* at d for every point, after building the orders past the
         prefix of the rows that need them."""
         rows = np.flatnonzero(self._reach > d)
         if rows.size:
-            values, cols, sizes = self._build(rows, self._prefix, self.k_max - K_MIN + 1,
-                                              self._reach[rows])
+            built = self._build(rows, self._prefix, self.k_max - K_MIN + 1)
             self._reach[rows] = -np.inf
-            # each row's new steps go after its old ones, before the next row
-            ends = np.append(self.row_ptr[1:], self.values.size)
-            at = np.repeat(ends[rows], sizes)
-            self.values = np.insert(self.values, at, values)
-            self.cols = np.insert(self.cols, at, cols)
-            added = np.zeros_like(self.row_ptr)
-            added[rows] = sizes
-            self.row_ptr += np.cumsum(added) - added
-        return _k_star_from_onsets((self.values, self.cols, self.row_ptr), d, self.k_max)
+            self.values, self.cols, self.rows = (
+                np.concatenate(pair) for pair in zip((self.values, self.cols, self.rows), built)
+            )
+        return _k_star_from_onsets((self.values, self.cols, self.rows), self.graph.n_points, d, self.k_max)
 
 
-def _k_star_from_onsets(onsets, d: float, k_max: int) -> np.ndarray:
-    """k* at d from the step lists of ``_RejectionOnsets``: K_MIN plus the
-    column of each row's first step at or below d, and k_max where there is
-    none."""
-    values, cols, row_ptr = onsets
-    return K_MIN + np.minimum.reduceat(np.where(values > d, k_max - K_MIN, cols), row_ptr)
+def _k_star_from_onsets(onsets, n: int, d: float, k_max: int) -> np.ndarray:
+    """k* at d for n rows from the step list of ``_RejectionOnsets``:
+    K_MIN plus the smallest column among each row's steps at or below d,
+    and k_max where there is none."""
+    values, cols, rows = onsets
+    k = np.full(n, k_max - K_MIN, dtype=cols.dtype)
+    np.minimum.at(k, rows, np.where(values > d, k_max - K_MIN, cols))
+    return K_MIN + k
 
 
 def select_k_star_all(graph: NeighborGraph, d: float, config: EstimatorConfig) -> np.ndarray:

@@ -20,9 +20,9 @@ import click
 import numpy as np
 
 from . import adaptive as adaptive_mod
-from . import datagen, estimators, geometry
+from . import datagen, geometry
 from .adaptive import METHODS, THRESHOLD_MODES
-from .errors import IdscaleError, InvalidArgumentError, ParseError
+from .errors import DegenerateScaleError, IdscaleError, InvalidArgumentError, ParseError
 from .geometry import Dataset, build_neighbor_graph
 
 SCHEMA_VERSION = 1
@@ -321,7 +321,7 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
     dataset = load_dataset(input_path, _parse_periodic(periodic))
     # one graph for the abide reference and the grid, deepened by --k-max-scan
     graph, ref, timing = _build_and_run("abide", dataset, config, depth=k_max_scan or 0)
-    tau = config.tau if config.tau is not None else estimators.optimal_tau(ref.estimate.d)
+    tau = config.tau if config.tau is not None else ref.estimate.tau
     if mode == "radius":
         lo = tb_min if tb_min is not None else float(np.median(graph.distances[:, 0]))
         hi = tb_max if tb_max is not None else float(graph.distances[:, -1].min())
@@ -386,6 +386,7 @@ def _benchmark_replica(payload: dict) -> dict:
         "seed": spec.seed,
         "n": graph.n_points,
         "d": est.d,
+        "ci": est.ci,
         "fisher_info": est.fisher_info,
         "validation_p": est.validation_p,
         "timing": timing,
@@ -407,8 +408,6 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
     adaptive_mod.check_options(method, config)
     if replicas < 1:
         raise InvalidArgumentError(f"--replicas must be >= 1, got {replicas}")
-    if d_true is not None and method == "twonn":
-        raise InvalidArgumentError("--d-true needs a method that reports fisher_info, not twonn")
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(spec.seed).spawn(replicas)]
     payloads = [
         {"spec": dataclasses.replace(spec, seed=s), "method": method, "config": config, "replica": r}
@@ -435,6 +434,12 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
         },
     }
     if d_true is not None:
+        for r in results:
+            if r["fisher_info"] is None:
+                raise DegenerateScaleError(
+                    f"replica {r['replica']} (seed {r['seed']}) reports no fisher_info, "
+                    "so it has no normality pivot"
+                )
         z = np.array([
             np.sqrt(r["n"] * r["fisher_info"]) * (r["d"] - d_true) for r in results
         ])
@@ -456,7 +461,7 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
 @click.option("--threads", type=click.IntRange(min=1), default=None,
               help="defaults to available cores")
 @click.option("--d-true", type=float, default=None,
-              help="true ID: adds the pivot normality check (not for twonn)")
+              help="true ID: adds the pivot normality check")
 @click.option("--output", type=str, default=None)
 @_estimator_options()
 def benchmark(method, replicas, threads, d_true, output, **opts):

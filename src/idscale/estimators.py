@@ -74,10 +74,12 @@ class IterationRecord:
 class IdEstimate:
     """One estimate with its diagnostics.
 
-    ``fisher_info`` is the per-point information behind ``ci``.  For the
+    ``fisher_info`` is the per-point information behind ``ci``, so
+    sqrt(n * fisher_info) * (d - d_true) is the pivot.  For the
     count-based estimators (``bide_fixed_radius``, ``bide_fixed_k`` and the
-    adaptive loop) it is already divided by ``pair_overlap_factor``, so
-    sqrt(n * fisher_info) * (d - d_true) is the pivot.  ``validation_p``
+    adaptive loop) it is already divided by ``pair_overlap_factor``; for
+    two-NN it is the order-2 binomial information at ``tau``, and None
+    with ``ci`` where ``twonn_equivalent_tau`` finds no ratio.  ``validation_p``
     is the fit check of the reported d at its counts, made once per
     estimate; ``trace`` holds d and mean k* per iterate.
     """
@@ -269,17 +271,18 @@ def twonn_estimate(graph: NeighborGraph, beta: float = BETA_CI) -> IdEstimate:
         raise EstimateUnboundedError("all second/first NN ratios equal 1; estimate diverges")
     d_hat = float(graph.n_points / total)
 
-    ci = None
+    tau = ci = info = None
     eq = twonn_equivalent_tau(graph, d_hat)
-    tau = None
     if eq is not None:
         tau, counts = eq
-        ci = fisher_interval(d_hat, tau, counts.k_b, beta)
+        info = fisher_information(d_hat, tau, counts.k_b)
+        ci = _normal_interval(d_hat, graph.n_points * info, beta)
     return IdEstimate(
         d=d_hat,
         tau=tau,
         ci=ci,
         mean_kb=1.0,
+        fisher_info=info,
         trace=[IterationRecord(d=d_hat, mean_k_star=2.0)],
     )
 

@@ -289,9 +289,9 @@ class TestRejectionOnsets:
         # orders past the prefix are built
         onsets = _RejectionOnsets(graph, cfg)
         onsets.k_star(0.1)
-        values, cols, row_ptr = onsets.values, onsets.cols, onsets.row_ptr
+        values, cols, rows = onsets.values, onsets.cols, onsets.rows
         assert np.all(values == np.inf) and np.all(cols == 0)
-        np.testing.assert_array_equal(row_ptr, np.arange(graph.n_points))
+        np.testing.assert_array_equal(np.sort(rows), np.arange(graph.n_points))
 
     @pytest.mark.parametrize(
         "graph_name", ["euclidean", "zero_radii", "periodic", "lattice", "periodic_lattice"]
@@ -313,11 +313,14 @@ class TestRejectionOnsets:
             onsets = _RejectionOnsets(graph, cfg)
             for d in queries:
                 np.testing.assert_array_equal(onsets.k_star(d), reference_k_star(graph, d, cfg))
-        # each row's steps, tails merged in, run in column order with falling values
-        row = np.repeat(np.arange(graph.n_points), np.diff(onsets.row_ptr, append=onsets.cols.size))
-        same_row = row[1:] == row[:-1]
-        assert np.all((onsets.cols[1:] > onsets.cols[:-1])[same_row])
-        assert np.all((onsets.values[1:] < onsets.values[:-1])[same_row])
+        # each row has at most one step per column, and its steps run with
+        # falling values within the prefix and within the rest
+        order = np.lexsort((onsets.cols, onsets.rows))
+        rows, cols, values = onsets.rows[order], onsets.cols[order], onsets.values[order]
+        same_row = rows[1:] == rows[:-1]
+        assert np.all((cols[1:] > cols[:-1])[same_row])
+        same_part = same_row & ((cols[1:] < prefix) == (cols[:-1] < prefix))
+        assert np.all((values[1:] < values[:-1])[same_part])
 
     def count_onsets(self, monkeypatch):
         """Spy on ``_flat_positions``: a list whose sum is the onsets built."""
@@ -371,12 +374,12 @@ class TestRejectionOnsets:
         ])
         values = np.array([np.inf, 9.0, np.inf, 1.0, 5.0, 3.0, 0.5, 0.0])
         cols = np.array([0, 0, 0, 10, 0, 2, 5, 8])
-        row_ptr = np.array([0, 1, 2, 4])
-        for d in (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.9, 9.0, 1e9):
-            expected = np.minimum(K_MIN + np.count_nonzero(dense > d, axis=1), k_max)
-            np.testing.assert_array_equal(
-                _k_star_from_onsets((values, cols, row_ptr), d, k_max), expected
-            )
+        rows = np.array([0, 1, 2, 2, 3, 3, 3, 3])
+        # the steps are a set: their order does not matter
+        for steps in ((values, cols, rows), (values[::-1], cols[::-1], rows[::-1])):
+            for d in (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 8.9, 9.0, 1e9):
+                expected = np.minimum(K_MIN + np.count_nonzero(dense > d, axis=1), k_max)
+                np.testing.assert_array_equal(_k_star_from_onsets(steps, len(dense), d, k_max), expected)
 
     def test_flat_positions_are_int64(self):
         # int32 indices near 2^31 / depth: an int32 product would wrap

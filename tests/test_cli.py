@@ -382,6 +382,16 @@ class TestScanCommand:
             if "d" in entry:
                 assert 1.0 <= entry["d"] <= 3.0
 
+    def test_tau_is_the_abide_reference_tau(self, runner, tmp_path):
+        ds = datagen.gen_uniform_hypercube_periodic(n=500, d=2, seed=2)
+        path = str(tmp_path / "torus.csv")
+        save_dataset_csv(ds, path)
+        flags = ["--input", path, "--periodic", "1", "--kmax", "60"]
+        scan = invoke(runner, ["scan", "--mode", "k", "--grid-size", "2", *flags])
+        estimate = invoke(runner, ["estimate", "--method", "abide", *flags])
+        assert scan.exit_code == 0 and estimate.exit_code == 0
+        assert json.loads(scan.stdout)["tau"] == json.loads(estimate.stdout)["estimate"]["tau"]
+
     def test_grid_intervals_follow_beta_ci(self, runner, tmp_path):
         ds = datagen.gen_uniform_hypercube_periodic(n=500, d=2, seed=2)
         path = str(tmp_path / "torus.csv")
@@ -497,15 +507,28 @@ class TestBenchmarkCommand:
         assert cli._threads_from(None) == 1
         assert cli._threads_from(3) == 3
 
-    @pytest.mark.parametrize("method, d_true", [("twonn", 2.0)])
-    def test_normality_checked_before_replicas(self, monkeypatch, method, d_true):
-        def no_replica(payload):
-            raise AssertionError("a replica ran before the --d-true check")
-
-        monkeypatch.setattr(cli, "_benchmark_replica", no_replica)
+    def test_twonn_normality_pivot(self):
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
-        with pytest.raises(InvalidArgumentError):
-            run_benchmark(spec, method, replicas=2, threads=1, d_true=d_true)
+        summary = run_benchmark(spec, "twonn", replicas=3, threads=1, d_true=2.0)
+        z = [np.sqrt(r["n"] * r["fisher_info"]) * (r["d"] - 2.0) for r in summary["per_replica"]]
+        assert summary["normality"]["z"] == z
+
+    @pytest.mark.parametrize("method, cfg", [
+        ("twonn", {}),
+        ("bide-r", {"tb": 0.1, "tau": 0.5}),
+        ("bide-k", {"k": 20, "tau": 0.45}),
+        ("abide", {"k_max": 60}),
+        ("babide", {"k_max": 60}),
+        ("agride", {"k_max": 60}),
+    ])
+    def test_replica_ci_comes_from_its_fisher_info(self, method, cfg):
+        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=400, d=2, seed=7)
+        cfg = {"beta_ci": 0.1, **cfg}
+        rep = run_benchmark(spec, method, replicas=1, threads=1, estimator_cfg=cfg)["per_replica"][0]
+        lo, hi = rep["ci"]
+        half = stats.norm.ppf(1.0 - 0.1 / 2.0) / np.sqrt(rep["n"] * rep["fisher_info"])
+        assert lo < rep["d"] < hi
+        assert (hi - lo) / 2.0 == pytest.approx(half, rel=1e-12)
 
     @pytest.mark.parametrize("replicas", [0, -3])
     def test_bad_replica_count_checked_before_replicas(self, runner, monkeypatch, replicas):
@@ -523,16 +546,18 @@ class TestBenchmarkCommand:
         assert result.exit_code == 2
         assert error_json(result)["error"] == "invalid-argument"
 
-    def test_normality_without_fisher_info_exit_code(self, runner):
+    def test_replica_without_fisher_info_exit_code(self, runner):
+        # at n = 4, replica 1 of this seed's twonn has no occupied inner
+        # ball, so no interval and no pivot
         result = invoke(runner, [
-            "benchmark", "--generator", "uniform_hypercube_periodic", "--n", "200",
-            "--d", "2", "--method", "twonn", "--replicas", "2", "--threads", "1",
-            "--d-true", "2",
+            "benchmark", "--generator", "uniform_hypercube_periodic", "--n", "4",
+            "--d", "2", "--seed", "2", "--method", "twonn", "--replicas", "6",
+            "--threads", "1", "--d-true", "2",
         ])
-        assert result.exit_code == 2
-        err = json.loads(result.stderr if hasattr(result, "stderr") and result.stderr else result.output)
-        assert err["error"] == "invalid-argument"
-        assert "twonn" in err["message"] and "fisher_info" in err["message"]
+        assert result.exit_code == 5
+        err = error_json(result)
+        assert err["error"] == "degenerate-scale"
+        assert "replica 1 " in err["message"] and "fisher_info" in err["message"]
 
     def test_normality_payload(self):
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=400, d=2, seed=6)

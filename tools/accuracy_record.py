@@ -8,10 +8,9 @@ Run from the root of a checkout:
 
 Every cell is 24 seeded replicas (generator seed 0, so the replica seeds
 are those of ``idscale benchmark --seed 0 --replicas 24``) on up to 2 pool
-workers.  The adaptive methods run with ``d_true``, the path behind
-``benchmark --d-true``; ``twonn`` reports no Fisher information, so it
-runs without and only its mean d and sd are recorded.  The file is a
-record, not a gate: nothing reads it back.
+workers, with ``d_true``: the path behind ``benchmark --d-true``.
+Coverage and the half-width are read off each replica's ``ci``.  The file
+is a record, not a gate: nothing reads it back.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -49,37 +47,36 @@ GRID = [
 ]
 
 
-def _summary(replicas: list[dict], z: np.ndarray | None) -> dict:
+def _summary(replicas: list[dict], d_true: float, z: np.ndarray) -> dict:
     d = np.array([r["d"] for r in replicas])
-    out = {"mean_d": float(d.mean()), "sd_d": float(d.std(ddof=1))}
-    if z is None:
-        return out
-    info = np.array([r["n"] * r["fisher_info"] for r in replicas])
-    # the interval's half-width: the two-sided normal quantile over sqrt(n I)
-    quantile = -special.ndtri(BETA_CI / 2.0)
-    half = quantile / np.sqrt(info)
-    return out | {
-        "mean_ci_half_width": float(half.mean()),
-        "coverage": float(np.mean(np.abs(z) <= quantile)),
+    lo, hi = np.array([r["ci"] for r in replicas]).T
+    out = {
+        "mean_d": float(d.mean()),
+        "sd_d": float(d.std(ddof=1)),
+        "mean_ci_half_width": float(((hi - lo) / 2.0).mean()),
+        "coverage": float(np.mean((lo <= d_true) & (d_true <= hi))),
         "mean_z": float(z.mean()),
         "sd_z": float(z.std(ddof=1)),
-        "median_validation_p": float(np.median([r["validation_p"] for r in replicas])),
-        "mean_k_star": float(np.mean([r["mean_k_star"] for r in replicas])),
-        "converged_frac": float(np.mean([r["converged"] for r in replicas])),
     }
+    # the fit check and k* exist only for the count-based and adaptive methods
+    if replicas[0]["validation_p"] is not None:
+        out["median_validation_p"] = float(np.median([r["validation_p"] for r in replicas]))
+    if "mean_k_star" in replicas[0]:
+        out["mean_k_star"] = float(np.mean([r["mean_k_star"] for r in replicas]))
+        out["converged_frac"] = float(np.mean([r["converged"] for r in replicas]))
+    return out
 
 
 def record_cell(fields: dict, d_true: float, method: str, threads: int) -> dict:
     spec = datagen.GeneratorSpec(**fields, seed=SEED)
-    truth = None if method == "twonn" else d_true
     call = (f"cli.run_benchmark(datagen.GeneratorSpec({', '.join(f'{k}={v!r}' for k, v in fields.items())}, "
-            f"seed={SEED}), {method!r}, {REPLICAS}, threads={threads}, d_true={truth!r})")
+            f"seed={SEED}), {method!r}, {REPLICAS}, threads={threads}, d_true={d_true!r})")
     start = time.perf_counter()
-    result = cli.run_benchmark(spec, method, REPLICAS, threads=threads, d_true=truth)
+    result = cli.run_benchmark(spec, method, REPLICAS, threads=threads, d_true=d_true)
     wall = time.perf_counter() - start
-    z = None if truth is None else np.array(result["normality"]["z"])
+    z = np.array(result["normality"]["z"])
     return {"call": call, "seed": SEED, "d_true": d_true, "wall_s": round(wall, 3),
-            **_summary(result["per_replica"], z)}
+            **_summary(result["per_replica"], d_true, z)}
 
 
 def _commit() -> str | None:
