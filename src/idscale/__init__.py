@@ -20,7 +20,6 @@ from .estimators import (
     bide_closed_form,
     bide_fixed_k,
     bide_fixed_radius,
-    fisher_interval,
     gride_mle,
     optimal_tau,
     twonn_estimate,
@@ -55,7 +54,6 @@ __all__ = [
     "bide_fixed_radius",
     "build_neighbor_graph",
     "counts_within_open_balls",
-    "fisher_interval",
     "gride_mle",
     "optimal_tau",
     "run_method",

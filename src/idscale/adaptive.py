@@ -20,6 +20,7 @@ from .errors import (
     InsufficientGraphDepthError,
     InvalidArgumentError,
     OptimizationFailureError,
+    require_integer,
 )
 from .estimators import (
     BETA_CI,
@@ -87,8 +88,10 @@ class EstimatorConfig:
             raise InvalidArgumentError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise InvalidArgumentError(f"unknown threshold mode {self.threshold_mode!r}")
+        require_integer("k_max", self.k_max)
         if self.k_max < K_MIN:
             raise InvalidArgumentError(f"k_max must be >= {K_MIN}")
+        require_integer("max_iter", self.max_iter)
         if not (self.max_iter >= 1 and 0.0 < self.delta < np.inf):
             raise InvalidArgumentError("max_iter must be >= 1 and delta > 0 and finite")
         if not 0.0 < self.beta_ci < 1.0:
@@ -97,8 +100,10 @@ class EstimatorConfig:
             raise InvalidArgumentError(f"tau must lie in (0, 1), got {self.tau}")
         if self.tb is not None and not 0.0 < self.tb < np.inf:
             raise InvalidArgumentError(f"t_b must be positive and finite, got {self.tb}")
-        if self.k is not None and self.k < 1:
-            raise InvalidArgumentError(f"k must be >= 1, got {self.k}")
+        if self.k is not None:
+            require_integer("k", self.k)
+            if self.k < 1:
+                raise InvalidArgumentError(f"k must be >= 1, got {self.k}")
         if not (0.0 < self.alpha0 < np.inf and 0.0 < self.beta0 < np.inf):
             raise InvalidArgumentError("prior parameters must be positive and finite")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_integer
 from .geometry import Dataset
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise InvalidArgumentError(f"unknown generator kind {self.kind!r}")
+        for name in ("n", "d", "ambient_dim", "seed"):
+            require_integer(name, getattr(self, name))
         if self.n < 2:
             raise InvalidArgumentError("need n >= 2")
         if self.d < 0 or self.ambient_dim < 0:

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all idscale modules.
+"""Exception hierarchy shared by all idscale modules, and their integer check.
 
 Every error carries a stable machine-readable ``kind`` string, which the CLI
 maps to exit codes and error JSON.
 """
+
+import numpy as np
 
 
 class IdscaleError(Exception):
@@ -56,3 +58,9 @@ class ParseError(IdscaleError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+
+def require_integer(name, value):
+    """Raise ``InvalidArgumentError`` unless ``value`` is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")

@@ -20,6 +20,7 @@ from .errors import (
     InsufficientGraphDepthError,
     InvalidArgumentError,
     OptimizationFailureError,
+    require_integer,
 )
 from .geometry import NeighborGraph, counts_within_open_balls
 from .validation import validate_model
@@ -116,26 +117,13 @@ def bide_closed_form(counts: BinomialCounts) -> float:
     return float(np.log(sum_a / sum_b) / np.log(counts.tau))
 
 
-def fisher_interval(d_star, tau, kb_values, beta=BETA_CI):
-    """Normal-approximation confidence interval at level 1 - beta from the
-    independent-count information ``fisher_information``.
-
-    Shared neighbour pairs are not counted here; the estimators that see
-    the graph divide the information by ``pair_overlap_factor`` instead.
-    """
-    kb = np.asarray(kb_values, dtype=np.float64)
-    n = kb.size
-    if not 0.0 < tau < 1.0:
-        raise InvalidArgumentError(f"tau must lie in (0, 1), got {tau}")
-    if kb.sum() <= 0:
-        raise DegenerateScaleError("sum of outer counts is zero")
-    info = fisher_information(d_star, tau, kb)
-    return _normal_interval(d_star, n * info, beta)
+def _check_beta(beta):
+    if not 0.0 < beta < 1.0:
+        raise InvalidArgumentError(f"beta must lie in (0, 1), got {beta}")
 
 
 def _normal_interval(d_star, total_info, beta):
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgumentError(f"beta must lie in (0, 1), got {beta}")
+    _check_beta(beta)
     # the normal quantile from the upper tail: 1 - beta/2 rounds to 1 (ndtri
     # inf) for beta below about 1e-16, and loses digits well before that
     half = -special.ndtri(beta / 2.0) / np.sqrt(total_info)
@@ -254,6 +242,7 @@ def twonn_equivalent_tau(graph: NeighborGraph, d_hat: float) -> tuple[float, Bin
 
 def twonn_estimate(graph: NeighborGraph, beta: float = BETA_CI) -> IdEstimate:
     """Closed-form two-NN estimator: n over the summed log distance ratios."""
+    _check_beta(beta)
     if graph.depth < 2:
         raise InsufficientGraphDepthError("two-NN needs at least 2 stored neighbours")
     r1 = graph.distances[:, 0]
@@ -298,19 +287,16 @@ def bide_fixed_radius(
     The reported ``fisher_info`` is already divided by
     ``pair_overlap_factor``, and ``ci`` is built from it.
     """
+    _check_beta(beta)
     if not 0.0 < t_b < np.inf:
         raise InvalidArgumentError(f"t_b must be positive and finite, got {t_b}")
     if not 0.0 < tau < 1.0:
         raise InvalidArgumentError(f"tau must lie in (0, 1), got {tau}")
-    n = graph.n_points
-    radii = np.full(n, float(t_b))
+    radii = np.full(graph.n_points, float(t_b))
     k_b = counts_within_open_balls(graph, radii)
     if k_b.sum() == 0:
         raise DegenerateScaleError(f"no neighbours within t_b={t_b} for any point")
-    k_a = counts_within_open_balls(graph, tau * radii)
-    counts = BinomialCounts(k_a=k_a, k_b=k_b, tau=tau)
-    d_hat = bide_closed_form(counts)
-    return _finish_bide(graph, counts, d_hat, beta)
+    return _bide_at_scale(graph, radii, k_b, tau, beta)
 
 
 def bide_fixed_k(
@@ -324,6 +310,8 @@ def bide_fixed_k(
     The reported ``fisher_info`` is already divided by
     ``pair_overlap_factor``, and ``ci`` is built from it.
     """
+    _check_beta(beta)
+    require_integer("k", k)
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
     if graph.depth < k:
@@ -332,12 +320,14 @@ def bide_fixed_k(
         raise DegenerateScaleError("k=1 leaves every outer shell empty")
     if not 0.0 < tau < 1.0:
         raise InvalidArgumentError(f"tau must lie in (0, 1), got {tau}")
-    t_b = graph.distances[:, k - 1]
     k_b = np.full(graph.n_points, k - 1, dtype=np.int64)
-    k_a = counts_within_open_balls(graph, tau * t_b)
-    counts = BinomialCounts(k_a=k_a, k_b=k_b, tau=tau)
-    d_hat = bide_closed_form(counts)
-    return _finish_bide(graph, counts, d_hat, beta)
+    return _bide_at_scale(graph, graph.distances[:, k - 1], k_b, tau, beta)
+
+
+def _bide_at_scale(graph, t_b, k_b, tau, beta):
+    """Count the inner balls at tau * t_b against outer counts k_b, and finish."""
+    counts = BinomialCounts(k_a=counts_within_open_balls(graph, tau * t_b), k_b=k_b, tau=tau)
+    return _finish_bide(graph, counts, bide_closed_form(counts), beta)
 
 
 def _finish_bide(graph, counts, d_hat, beta):

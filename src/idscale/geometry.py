@@ -30,6 +30,7 @@ from .errors import (
     DegenerateDatasetError,
     InsufficientGraphDepthError,
     InvalidArgumentError,
+    require_integer,
 )
 
 logger = logging.getLogger(__name__)
@@ -168,6 +169,7 @@ def build_neighbor_graph(dataset: Dataset, K: int) -> NeighborGraph:
     relative to the largest coordinate.  Where nothing over- or underflowed
     unscaled, the distances are the same to the bit.
     """
+    require_integer("K", K)
     if K < 1:
         raise InvalidArgumentError(f"K must be >= 1, got {K}")
     dataset = deduplicate(dataset)

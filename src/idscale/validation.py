@@ -6,10 +6,10 @@ is compared to the observed inner counts with the Epps-Singleton test.
 The resulting p-value is a relative measure of fit, never a hard gate.
 
 The test follows the original 1986 construction with the small-sample
-correction of Goerg & Kaiser, and works on value histograms: each sample
-is reduced to its distinct values and their counts, the pooled quartiles
-are read off the merged cumulative counts (numpy's ``linear`` rule, bit
-for bit), and the features, means and biased covariances are
+correction of Goerg & Kaiser, and works on histograms of integer counts:
+each sample is reduced to its distinct values and their counts, the pooled
+quartiles are read off the merged cumulative counts (exactly, so equal to
+numpy's ``linear`` rule), and the features, means and biased covariances are
 count-weighted sums over distinct values.  It is the same statistic as a
 per-draw evaluation up to rounding, and costs O(distinct values) after
 one sort per sample instead of O(draws) transcendental evaluations.
@@ -38,40 +38,30 @@ class ValidationReport:
 
 
 def _histogram(sample) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values (ascending) of a sample and how often each occurs."""
-    x = np.asarray(sample, dtype=np.float64).ravel()
+    """Distinct values (ascending) of a sample of counts and how often each occurs."""
+    x = np.asarray(sample).ravel()
     if x.size == 0:
         raise InvalidArgumentError("both samples must be non-empty")
-    values, counts = np.unique(x, return_counts=True)
-    # unique sorts -inf first and inf, nan last
-    if not np.isfinite(values[[0, -1]]).all():
-        raise InvalidArgumentError("samples must be finite")
-    return values, counts
+    if not np.issubdtype(x.dtype, np.integer) or x.min() < 0:
+        raise InvalidArgumentError("samples must be non-negative integer counts")
+    return np.unique(x, return_counts=True)
 
 
 def _pooled_semi_iqr(hist_a, hist_b) -> float:
     """Half the 25-75 % interquartile range of two samples pooled, read off
-    their merged histogram; bit-equal to ``np.percentile``'s ``linear``
-    rule on the concatenated draws."""
+    their merged histogram.  A quartile lies 0, 1/4, 1/2 or 3/4 of the way
+    between two integers, so it is exact: ``np.percentile`` on the draws."""
     values = np.union1d(hist_a[0], hist_b[0])
     counts = np.zeros(values.size, dtype=np.int64)
     for v, c in (hist_a, hist_b):
         counts[np.searchsorted(values, v)] += c
     cum = np.cumsum(counts)
-    n = int(cum[-1])
-
-    def order_stat(j):
-        return float(values[np.searchsorted(cum, j, side="right")])
-
-    def quantile(q):
-        h = (n - 1) * q
-        j = int(np.floor(h))
-        lo, hi = order_stat(j), order_stat(min(j + 1, n - 1))
-        g = h - j
-        # numpy's _lerp: interpolate from the nearer end
-        return hi - (hi - lo) * (1.0 - g) if g >= 0.5 else lo + (hi - lo) * g
-
-    return 0.5 * (quantile(0.75) - quantile(0.25))
+    h = (cum[-1] - 1) * np.array([0.25, 0.75])
+    j = h.astype(np.int64)
+    # both samples are non-empty, so j + 1 is at most the last draw's index
+    lo, hi = values[np.searchsorted(cum, [j, j + 1], side="right")]
+    q25, q75 = lo + (hi - lo) * (h - j)
+    return 0.5 * float(q75 - q25)
 
 
 def epps_singleton(sample_a, sample_b) -> ValidationReport:
@@ -79,11 +69,11 @@ def epps_singleton(sample_a, sample_b) -> ValidationReport:
 
     Compares the empirical characteristic functions of the two samples at
     the points ``(0.4, 0.8)`` scaled by the combined semi-interquartile
-    range; valid for discrete data.  Each sample is reduced to its value
-    histogram first, so the features, means and covariances cost one
-    evaluation per distinct value rather than per draw.  When both
-    samples hold fewer than 25 draws, the statistic is shrunk by the usual
-    small-sample correction factor.  The p-value comes from the chi-square
+    range; both must be samples of non-negative integer counts.  Each is
+    reduced to its value histogram first, so the features, means and
+    covariances cost one evaluation per distinct value rather than per
+    draw.  When both samples hold fewer than 25 draws, the statistic is
+    shrunk by the usual small-sample correction factor.  The p-value comes from the chi-square
     tail with as many degrees of freedom as the pseudo-inverted covariance
     has rank (4 unless the samples take few distinct values).  Both rules
     are those of ``scipy.stats.epps_singleton_2samp``.

@@ -181,6 +181,18 @@ class TestEstimatorConfig:
         with pytest.raises(InvalidArgumentError, match=message):
             EstimatorConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_max", 100.5), ("k_max", 50.0), ("max_iter", 2.5), ("max_iter", np.float64(3.0)),
+        ("k", 2.5), ("k", np.nan),
+    ])
+    def test_integer_options_must_be_integers(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be an integer"):
+            EstimatorConfig(**{field: value})
+
+    def test_numpy_integer_options(self):
+        cfg = EstimatorConfig(k_max=np.int64(100), max_iter=np.int32(3), k=np.int64(20))
+        assert (cfg.k_max, cfg.max_iter, cfg.k) == (100, 3, 20)
+
 
 class TestSelectKStar:
     def test_uniform_grid_interior_never_rejects(self):

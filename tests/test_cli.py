@@ -472,6 +472,15 @@ class TestBenchmarkCommand:
         direct = run_method("bide-k", build_neighbor_graph(ds, 20), EstimatorConfig(**cfg)).estimate
         assert rep["validation_p"] == direct.validation_p and rep["d"] == direct.d
 
+    def test_float_integer_option_fails_before_any_replica(self, monkeypatch):
+        def unreached(payload):
+            raise AssertionError("a replica ran")
+
+        monkeypatch.setattr(cli, "_benchmark_replica", unreached)
+        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=0)
+        with pytest.raises(InvalidArgumentError, match="k_max must be an integer"):
+            run_benchmark(spec, "abide", replicas=2, threads=1, estimator_cfg={"k_max": 50.0})
+
     def test_replica_determinism_across_thread_counts(self):
         spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=4)
         serial = run_benchmark(spec, "twonn", replicas=4, threads=1)

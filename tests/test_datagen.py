@@ -197,6 +197,19 @@ class TestGeneratorSpec:
         with pytest.raises(InvalidArgumentError, match="d and ambient_dim must be nonnegative"):
             GeneratorSpec(n=20, **fields)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 100.5), ("n", 100.0), ("d", 2.5), ("ambient_dim", 20.0), ("seed", 1.5),
+    ])
+    def test_integer_fields_must_be_integers(self, field, value):
+        fields = {"kind": "noisy_gaussian", "n": 100, "d": 2, "ambient_dim": 20, field: value}
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be an integer"):
+            GeneratorSpec(**fields)
+
+    def test_numpy_integer_fields(self):
+        spec = GeneratorSpec(kind="uniform_hypercube_periodic", n=np.int64(50), d=np.int32(2),
+                             seed=np.uint32(7))
+        assert datagen.generate(spec).points.shape == (50, 2)
+
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_generator_defaults_are_the_spec_defaults(self, kind):
         # a default of its own would let gen_<kind> and the CLI's spec disagree

@@ -20,12 +20,12 @@ from idscale.errors import (
 from idscale.estimators import (
     C_STAR,
     BinomialCounts,
+    _normal_interval,
     beta_posterior,
     bide_closed_form,
     bide_fixed_k,
     bide_fixed_radius,
     fisher_information,
-    fisher_interval,
     gride_mle,
     gride_mle_from_ratios,
     optimal_tau,
@@ -234,6 +234,15 @@ class TestBideFixedK:
         with pytest.raises(DegenerateScaleError):
             bide_fixed_k(torus_2d, 1, 0.5)
 
+    @pytest.mark.parametrize("k", [2.5, 30.0, np.float64(30.0), "30"],
+                             ids=["2.5", "30.0", "float64-30.0", "str-30"])
+    def test_k_must_be_an_integer(self, torus_2d, k):
+        with pytest.raises(InvalidArgumentError, match="k must be an integer"):
+            bide_fixed_k(torus_2d, k, 0.5)
+
+    def test_numpy_integer_k(self, torus_2d):
+        assert bide_fixed_k(torus_2d, np.int64(30), 0.5).d == bide_fixed_k(torus_2d, 30, 0.5).d
+
     def test_torus_k30(self, torus_2d):
         est = bide_fixed_k(torus_2d, 30, optimal_tau(2.0))
         assert 1.85 <= est.d <= 2.15
@@ -256,17 +265,23 @@ class TestBideFixedK:
         assert bide_closed_form(counts) == pytest.approx(d_hat, abs=1e-10)
 
 
+def independent_count_interval(d, tau, kb, beta):
+    """The reported interval for independent outer counts ``kb``: normal,
+    from the information of all len(kb) points."""
+    return _normal_interval(d, len(kb) * fisher_information(d, tau, kb), beta)
+
+
 class TestFisherInterval:
     def test_hand_computed_example(self):
-        lo, hi = fisher_interval(1.0, 0.5, [1], beta=0.05)
+        lo, hi = independent_count_interval(1.0, 0.5, [1], beta=0.05)
         info = (np.log(0.5) ** 2) * 0.5 * 1.0 / 0.5
         half = 1.959964 / np.sqrt(info)
         assert hi - 1.0 == pytest.approx(half, abs=1e-4)
         assert (hi - lo) / 2 == pytest.approx(2.8277, abs=1e-3)
 
     def test_doubling_counts_halves_squared_width(self):
-        lo1, hi1 = fisher_interval(2.0, 0.4, [3, 5, 7], beta=0.05)
-        lo2, hi2 = fisher_interval(2.0, 0.4, [6, 10, 14], beta=0.05)
+        lo1, hi1 = independent_count_interval(2.0, 0.4, [3, 5, 7], beta=0.05)
+        lo2, hi2 = independent_count_interval(2.0, 0.4, [6, 10, 14], beta=0.05)
         assert (hi1 - lo1) ** 2 / (hi2 - lo2) ** 2 == pytest.approx(2.0, rel=1e-10)
 
     def test_width_scales_with_dimension_at_optimal_tau(self):
@@ -274,18 +289,14 @@ class TestFisherInterval:
         kb = [20] * 100
         widths = []
         for d in (2.0, 4.0):
-            lo, hi = fisher_interval(d, optimal_tau(d), kb, beta=0.05)
+            lo, hi = independent_count_interval(d, optimal_tau(d), kb, beta=0.05)
             widths.append(hi - lo)
         assert widths[1] / widths[0] == pytest.approx(2.0, rel=1e-6)
-
-    def test_degenerate_counts(self):
-        with pytest.raises(DegenerateScaleError):
-            fisher_interval(1.0, 0.5, [0, 0], beta=0.05)
 
     @pytest.mark.parametrize("beta", [0.05, 1e-6, 1e-17, 1e-300])
     def test_small_beta_keeps_the_quantile(self, beta):
         # 1 - beta/2 rounds to 1 below beta ~ 1e-16, where its quantile is inf
-        lo, hi = fisher_interval(1.0, 0.5, [1], beta=beta)
+        lo, hi = independent_count_interval(1.0, 0.5, [1], beta=beta)
         info = (np.log(0.5) ** 2) * 0.5 * 1.0 / 0.5
         assert np.isfinite(lo) and np.isfinite(hi)
         quantile = np.sqrt(2.0) * special.erfcinv(beta)
@@ -298,11 +309,36 @@ class TestFisherInterval:
         g = build_neighbor_graph(gen_uniform_hypercube_periodic(n=400, d=2, seed=0), K=20)
         message = rf"beta must lie in \(0, 1\), got {beta}"
         with pytest.raises(InvalidArgumentError, match=message):
-            fisher_interval(1.0, 0.5, [1], beta=beta)
+            independent_count_interval(1.0, 0.5, [1], beta=beta)
         with pytest.raises(InvalidArgumentError, match=message):
             twonn_estimate(g, beta=beta)
         with pytest.raises(InvalidArgumentError, match=message):
             bide_fixed_k(g, 20, 0.5, beta=beta)
+        with pytest.raises(InvalidArgumentError, match=message):
+            bide_fixed_radius(g, 0.05, 0.5, beta=beta)
+
+    @pytest.mark.parametrize("beta", [7.0, np.nan, 0.0])
+    def test_twonn_checks_beta_without_an_interval(self, beta):
+        # four points on the 2-torus: no inner ball is occupied, so two-NN
+        # builds no interval, and beta is still checked
+        g = build_neighbor_graph(gen_uniform_hypercube_periodic(n=4, d=2, seed=0), K=2)
+        assert twonn_equivalent_tau(g, twonn_estimate(g).d) is None
+        with pytest.raises(InvalidArgumentError, match="beta must lie in"):
+            twonn_estimate(g, beta=beta)
+
+    def test_fixed_scale_checks_beta_before_counting(self, monkeypatch):
+        g = build_neighbor_graph(gen_uniform_hypercube_periodic(n=400, d=2, seed=0), K=20)
+
+        def unreached(*args):
+            raise AssertionError("counted before beta was checked")
+
+        monkeypatch.setattr(estimators, "counts_within_open_balls", unreached)
+        monkeypatch.setattr(estimators, "pair_overlap_factor", unreached)
+        monkeypatch.setattr(estimators, "validate_model", unreached)
+        with pytest.raises(InvalidArgumentError, match="beta must lie in"):
+            bide_fixed_k(g, 20, 0.5, beta=1.5)
+        with pytest.raises(InvalidArgumentError, match="beta must lie in"):
+            bide_fixed_radius(g, 0.05, 0.5, beta=np.nan)
 
 
 class TestBetaPosterior:

@@ -142,6 +142,12 @@ class TestDeduplicate:
 
 
 class TestBuildNeighborGraph:
+    @pytest.mark.parametrize("K", [2.0, 2.5, np.float64(2.0)], ids=["2.0", "2.5", "float64-2.0"])
+    def test_depth_must_be_an_integer(self, K):
+        ds = datagen.gen_uniform_hypercube_periodic(n=20, d=2, seed=0)
+        with pytest.raises(InvalidArgumentError, match="K must be an integer"):
+            build_neighbor_graph(ds, K=K)
+
     def test_collinear_hand_geometry(self):
         g = build_neighbor_graph(Dataset(np.array([[0.0], [1.0], [3.0]])), K=2)
         assert np.allclose(g.distances, [[1, 3], [1, 2], [2, 3]])

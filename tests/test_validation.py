@@ -3,8 +3,8 @@ the library's numbers, tested at the call sites that use them: the
 Epps-Singleton test of ``idscale.validation`` against its references
 (scipy's ``epps_singleton_2samp``, and a projected per-draw statistic where
 the covariance is rank-deficient), the chi-square(1) rejection threshold of
-``EstimatorConfig`` and the standard normal quantile behind
-``fisher_interval``."""
+``EstimatorConfig`` and the standard normal quantile behind every reported
+confidence interval."""
 
 import warnings
 
@@ -19,7 +19,7 @@ from scipy.stats import chi2, epps_singleton_2samp
 from idscale.adaptive import EstimatorConfig
 from idscale import validation
 from idscale.errors import DegenerateSampleError, InvalidArgumentError
-from idscale.estimators import fisher_interval
+from idscale.estimators import _normal_interval, fisher_information
 from idscale.validation import (
     SYNTHETIC_CAP,
     _histogram,
@@ -148,10 +148,10 @@ def chi2_threshold(tail):
 
 def normal_quantile(prob):
     """The standard normal quantile at ``prob``, read off the half-width of
-    ``fisher_interval`` at level 1 - beta = 2 prob - 1.  At d = 1, tau = 1/2
-    and one outer count the information is (log 2)^2, so the half-width is
-    the quantile over log 2."""
-    lo, hi = fisher_interval(1.0, 0.5, [1], beta=2.0 * (1.0 - prob))
+    the reported interval at level 1 - beta = 2 prob - 1.  At d = 1,
+    tau = 1/2 and one outer count the information is (log 2)^2, so the
+    half-width is the quantile over log 2."""
+    lo, hi = _normal_interval(1.0, fisher_information(1.0, 0.5, [1]), beta=2.0 * (1.0 - prob))
     return 0.5 * (hi - lo) * np.log(2.0)
 
 
@@ -193,7 +193,7 @@ class TestChi2:
 
 class TestNormal:
     def test_symmetry(self):
-        lo, hi = fisher_interval(1.5, 0.4, [3, 5, 7], beta=0.05)
+        lo, hi = _normal_interval(1.5, 3 * fisher_information(1.5, 0.4, [3, 5, 7]), beta=0.05)
         assert hi - 1.5 == pytest.approx(1.5 - lo, rel=1e-12)
 
     @pytest.mark.parametrize("prob,expected", [(0.975, 1.959964), (0.995, 2.575829)])
@@ -229,15 +229,15 @@ class TestEppsSingleton:
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
-        a = rng.binomial(30, 0.4, size=500).astype(float)
-        b = rng.binomial(30, 0.45, size=500).astype(float)
+        a = rng.binomial(30, 0.4, size=500)
+        b = rng.binomial(30, 0.45, size=500)
         base = epps_singleton(a, b)
-        shifted = epps_singleton(a + 1000.0, b + 1000.0)
+        shifted = epps_singleton(a + 1000, b + 1000)
         assert shifted.statistic == pytest.approx(base.statistic, rel=1e-6)
 
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSampleError):
-            epps_singleton(np.full(40, 3.0), np.full(40, 3.0))
+            epps_singleton(np.full(40, 3), np.full(40, 3))
 
     def test_calibration_under_the_null(self):
         # same Binomial(20, 0.2) law for both samples: the level-0.05
@@ -271,12 +271,23 @@ class TestEppsSingleton:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample(self, bad):
+        # only a float array holds a non-finite value, and it holds no counts
         a = np.random.default_rng(6).binomial(20, 0.3, size=50).astype(float)
         a[17] = bad
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            epps_singleton(a, np.arange(50.0))
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            epps_singleton(np.arange(50.0), a)
+        with pytest.raises(InvalidArgumentError, match="non-negative integer counts"):
+            epps_singleton(a, np.arange(50))
+        with pytest.raises(InvalidArgumentError, match="non-negative integer counts"):
+            epps_singleton(np.arange(50), a)
+
+    @pytest.mark.parametrize("sample", [
+        np.arange(50.0), np.linspace(0.0, 20.0, 50), np.arange(-1, 49), [3, 1, -2, 5],
+    ], ids=["integral-floats", "floats", "negative", "negative-list"])
+    def test_non_count_sample(self, sample):
+        counts = np.random.default_rng(6).binomial(20, 0.3, size=50)
+        with pytest.raises(InvalidArgumentError, match="non-negative integer counts"):
+            epps_singleton(sample, counts)
+        with pytest.raises(InvalidArgumentError, match="non-negative integer counts"):
+            epps_singleton(counts, sample)
 
 
 def assert_sigma_is_percentile(a, b):
@@ -288,15 +299,17 @@ def assert_sigma_is_percentile(a, b):
 
 def _oracle_cases():
     rng = np.random.default_rng(7)
-    x = rng.normal(size=900)
+    x = np.rint(1000 + 100 * rng.normal(size=900)).astype(np.int64)
     return {
         # the validation shape: a large synthetic mixture against observed counts
         "binomial-mixture": (rng.binomial(rng.choice(np.arange(40, 351), 7700), 0.2),
                              rng.binomial(rng.choice(np.arange(40, 351), 770), 0.2)),
         "binomial-ties": (rng.binomial(12, 0.3, size=400), rng.binomial(12, 0.35, size=300)),
         "binomial-small": (rng.binomial(30, 0.4, size=25), rng.binomial(30, 0.4, size=31)),
-        "continuous": (rng.normal(size=500), rng.standard_t(5, size=650)),
-        "shifted": (x[:450], x[450:] + 0.4),
+        # continuous laws on a fine grid: hundreds of distinct counts
+        "continuous": (np.rint(1000 + 100 * rng.normal(size=500)).astype(np.int64),
+                       np.rint(1000 + 100 * rng.standard_t(5, size=650)).astype(np.int64)),
+        "shifted": (x[:450], x[450:] + 40),
         # the small-sample correction applies only when both samples are small
         "poisson-20-2000": (rng.poisson(3, size=20), rng.poisson(3, size=2000)),
         "poisson-20-20": (rng.poisson(3, size=20), rng.poisson(3, size=20)),
@@ -361,12 +374,13 @@ class TestEppsSingletonOracle:
         assert_sigma_is_percentile(*_oracle_cases()[case])
 
     def test_sigma_interpolates_like_numpy(self):
-        # few, widely spread values: interpolating from the wrong end of
-        # a quartile's bracket differs from numpy in the last bit
+        # few, widely spread counts: each quartile lies a quarter, half or
+        # three quarters of the way between two of them, so the plain
+        # interpolation is exact, as numpy's two-sided one is
         rng = np.random.default_rng(8)
         for _ in range(200):
-            assert_sigma_is_percentile(rng.lognormal(sigma=3, size=rng.integers(1, 8)),
-                                       rng.normal(scale=10, size=rng.integers(1, 8)))
+            assert_sigma_is_percentile(rng.integers(0, 2 ** 40, size=rng.integers(1, 8)),
+                                       rng.integers(0, 10 ** rng.integers(1, 12), size=rng.integers(1, 8)))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -404,4 +418,4 @@ class TestEppsSingletonOracle:
     def test_constant_samples_at_different_values(self):
         # sigma = 0.5, but both covariances vanish: rank 0 leaves no test
         with pytest.raises(DegenerateSampleError, match="constant"):
-            epps_singleton(np.zeros(40), np.ones(40))
+            epps_singleton(np.zeros(40, dtype=np.int64), np.ones(40, dtype=np.int64))
