@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DegenerateDatasetError,
@@ -28,7 +27,9 @@ from .estimators import (
     BinomialCounts,
     IdEstimate,
     IterationRecord,
+    _check_level,
     _finish_bide,
+    _upper_normal_quantile,
     beta_posterior,
     bide_closed_form,
     bide_fixed_k,
@@ -84,8 +85,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         # every range check in positive form, so that NaN fails it
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidArgumentError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_level(self.alpha, "alpha")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise InvalidArgumentError(f"unknown threshold mode {self.threshold_mode!r}")
         require_integer("k_max", self.k_max)
@@ -94,8 +94,7 @@ class EstimatorConfig:
         require_integer("max_iter", self.max_iter)
         if not (self.max_iter >= 1 and 0.0 < self.delta < np.inf):
             raise InvalidArgumentError("max_iter must be >= 1 and delta > 0 and finite")
-        if not 0.0 < self.beta_ci < 1.0:
-            raise InvalidArgumentError(f"beta_ci must lie in (0, 1), got {self.beta_ci}")
+        _check_level(self.beta_ci, "beta_ci")
         if self.tau is not None and not 0.0 < self.tau < 1.0:
             raise InvalidArgumentError(f"tau must lie in (0, 1), got {self.tau}")
         if self.tb is not None and not 0.0 < self.tb < np.inf:
@@ -113,8 +112,16 @@ class EstimatorConfig:
         divisor = {"fixed": 1, "bonferroni_h": h, "bonferroni_n": n, "bonferroni_nh": n * h}[
             self.threshold_mode
         ]
-        # the chi-square(1) quantile from the upper tail, so small tails keep their digits
-        return float(2.0 * special.gammainccinv(0.5, self.alpha / divisor))
+        # the chi-square(1) quantile with upper tail alpha/divisor is z^2,
+        # with z the normal quantile at half that tail
+        tail = self.alpha / (2 * divisor)
+        if tail == 0.0:
+            raise InvalidArgumentError(
+                f"alpha = {self.alpha} is too small for threshold mode {self.threshold_mode!r} "
+                f"at n = {n}: alpha/(2 * {divisor}) underflows to 0"
+            )
+        z = _upper_normal_quantile(tail)
+        return z * z
 
 
 @dataclass

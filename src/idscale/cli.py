@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import http.client
 import io
 import json
 import math
@@ -13,7 +12,6 @@ import os
 import sys
 import time
 import typing
-import urllib.request
 from concurrent.futures import ProcessPoolExecutor
 
 import click
@@ -22,7 +20,13 @@ import numpy as np
 from . import adaptive as adaptive_mod
 from . import datagen, geometry
 from .adaptive import METHODS, THRESHOLD_MODES
-from .errors import DegenerateScaleError, IdscaleError, InvalidArgumentError, ParseError
+from .errors import (
+    DegenerateScaleError,
+    IdscaleError,
+    InvalidArgumentError,
+    ParseError,
+    require_integer,
+)
 from .geometry import Dataset, build_neighbor_graph
 
 SCHEMA_VERSION = 1
@@ -406,14 +410,21 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
     ``d_true`` adds the pivot normality check."""
     config = adaptive_mod.EstimatorConfig(**(estimator_cfg or {}))
     adaptive_mod.check_options(method, config)
-    if replicas < 1:
-        raise InvalidArgumentError(f"--replicas must be >= 1, got {replicas}")
+    for name, value in (("replicas", replicas), ("threads", threads)):
+        require_integer(name, value)
+        if value < 1:
+            raise InvalidArgumentError(f"--{name} must be >= 1, got {value}")
     seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(spec.seed).spawn(replicas)]
     payloads = [
         {"spec": dataclasses.replace(spec, seed=s), "method": method, "config": config, "replica": r}
         for r, s in enumerate(seeds)
     ]
     if threads > 1 and replicas > 1:
+        # loaded once here, before the workers fork, rather than by each
+        # new worker at its first Euclidean graph (0.3 s apiece); imported,
+        # not called, so no distance call is made outside a replica
+        import scipy.spatial.distance  # noqa: F401
+
         # the pool starts all its workers at once, so no more than there are replicas
         with ProcessPoolExecutor(max_workers=min(threads, replicas)) as pool:
             results = list(pool.map(_benchmark_replica, payloads))
@@ -500,6 +511,10 @@ def generate(output, **fields):
 def fetch_optdigits(output, url):
     """Download the OptDigits training matrix (3823 x 64, label column dropped)."""
     _check_file_output(output)
+    # imported here, their one use: they load ssl, which no other command needs
+    import http.client
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=60) as resp:
             body = resp.read()

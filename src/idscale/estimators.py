@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     DegenerateDatasetError,
@@ -117,16 +117,26 @@ def bide_closed_form(counts: BinomialCounts) -> float:
     return float(np.log(sum_a / sum_b) / np.log(counts.tau))
 
 
-def _check_beta(beta):
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgumentError(f"beta must lie in (0, 1), got {beta}")
+def _check_level(value, name="beta"):
+    """Check a two-sided tail probability: 0 < value < 1, and value/2,
+    where its normal quantile is read, above 0 (the smallest subnormal
+    halves to 0)."""
+    if not 0.0 < value < 1.0:
+        raise InvalidArgumentError(f"{name} must lie in (0, 1), got {value}")
+    if value / 2.0 == 0.0:
+        raise InvalidArgumentError(f"{name} = {value} is too small: {name}/2 underflows to 0")
+
+
+def _upper_normal_quantile(tail: float) -> float:
+    """z with P(Z > z) = tail for a standard normal Z, for 0 < tail < 1.
+    Read off the lower tail: 1 - tail rounds to 1 for a tail below about
+    1e-16, and loses digits well before that."""
+    return -NormalDist().inv_cdf(tail)
 
 
 def _normal_interval(d_star, total_info, beta):
-    _check_beta(beta)
-    # the normal quantile from the upper tail: 1 - beta/2 rounds to 1 (ndtri
-    # inf) for beta below about 1e-16, and loses digits well before that
-    half = -special.ndtri(beta / 2.0) / np.sqrt(total_info)
+    _check_level(beta)
+    half = _upper_normal_quantile(beta / 2.0) / np.sqrt(total_info)
     return (float(d_star - half), float(d_star + half))
 
 
@@ -242,7 +252,7 @@ def twonn_equivalent_tau(graph: NeighborGraph, d_hat: float) -> tuple[float, Bin
 
 def twonn_estimate(graph: NeighborGraph, beta: float = BETA_CI) -> IdEstimate:
     """Closed-form two-NN estimator: n over the summed log distance ratios."""
-    _check_beta(beta)
+    _check_level(beta)
     if graph.depth < 2:
         raise InsufficientGraphDepthError("two-NN needs at least 2 stored neighbours")
     r1 = graph.distances[:, 0]
@@ -287,7 +297,7 @@ def bide_fixed_radius(
     The reported ``fisher_info`` is already divided by
     ``pair_overlap_factor``, and ``ci`` is built from it.
     """
-    _check_beta(beta)
+    _check_level(beta)
     if not 0.0 < t_b < np.inf:
         raise InvalidArgumentError(f"t_b must be positive and finite, got {t_b}")
     if not 0.0 < tau < 1.0:
@@ -310,7 +320,7 @@ def bide_fixed_k(
     The reported ``fisher_info`` is already divided by
     ``pair_overlap_factor``, and ``ci`` is built from it.
     """
-    _check_beta(beta)
+    _check_level(beta)
     require_integer("k", k)
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
@@ -358,6 +368,10 @@ def beta_posterior(counts: BinomialCounts, alpha0: float = BETA_PRIOR, beta0: fl
     sum_b = float(counts.k_b.sum())
     alpha_star = alpha0 + sum_a
     beta_star = beta0 + (sum_b - sum_a)
+    # imported here, its one use: scipy.special takes about 20 MB and
+    # 0.17 s, which only babide pays
+    from scipy import special
+
     log_tau = np.log(counts.tau)
     mean = (special.psi(alpha_star) - special.psi(alpha_star + beta_star)) / log_tau
     variance = (special.polygamma(1, alpha_star)

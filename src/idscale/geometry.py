@@ -24,7 +24,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DegenerateDatasetError,
@@ -120,6 +119,11 @@ class NeighborGraph:
 def pairwise_distances(x: np.ndarray, y: np.ndarray, periods: np.ndarray | None) -> np.ndarray:
     """All-pairs distances between the rows of ``x`` and ``y``."""
     if periods is None:
+        # imported here, its one use: scipy.spatial loads scipy.special,
+        # scipy.linalg and scipy.sparse (about 32 MB and 0.27 s), which a
+        # periodic run never needs
+        from scipy.spatial.distance import cdist
+
         d2 = cdist(x, y, "sqeuclidean")
     else:
         d2 = np.zeros((x.shape[0], y.shape[0]))

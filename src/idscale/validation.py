@@ -17,10 +17,10 @@ one sort per sample instead of O(draws) transcendental evaluations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateSampleError, InvalidArgumentError
 
@@ -109,8 +109,23 @@ def epps_singleton(sample_a, sample_b) -> ValidationReport:
     w = max(w, 0.0)
     if max(n_a, n_b) < 25:
         w *= 1.0 / (1.0 + n ** -0.45 + 10.1 * (n_a ** -1.7 + n_b ** -1.7))
-    p_value = float(special.gammaincc(0.5 * df, 0.5 * w))
+    p_value = _chi2_tail(w, df)
     return ValidationReport(statistic=w, p_value=p_value, df=df)
+
+
+def _chi2_tail(w: float, df: int) -> float:
+    """P(X > w) for X ~ chi-square(df), df = 1 to 4, in closed form: the
+    regularized upper incomplete gamma Q(df/2, w/2)."""
+    x = 0.5 * w
+    if df == 1:
+        return math.erfc(math.sqrt(x))
+    if df == 2:
+        return math.exp(-x)
+    if df == 3:
+        return math.erfc(math.sqrt(x)) + math.sqrt(4.0 * x / math.pi) * math.exp(-x)
+    if df == 4:
+        return (1.0 + x) * math.exp(-x)
+    raise InvalidArgumentError(f"chi-square tail needs 1 <= df <= 4, got {df}")
 
 
 def sample_mixture(kb_values, d: float, tau: float, m: int, seed: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from idscale.adaptive import (
     K_MIN,
     METHOD_OPTIONS,
     METHODS,
+    THRESHOLD_MODES,
     AbideResult,
     AdaptiveState,
     EstimatorConfig,
@@ -152,6 +153,37 @@ class TestEstimatorConfig:
         n, h = 100_000, EstimatorConfig().k_max - K_MIN + 1
         cfg = EstimatorConfig(alpha=alpha, threshold_mode="bonferroni_nh")
         assert cfg.rejection_threshold(n) == pytest.approx(chi2.isf(alpha / (n * h), 1), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    @pytest.mark.parametrize("alpha", [0.5, 0.01, 1e-6, 1e-17, 1e-300])
+    def test_threshold_matches_gammainccinv(self, mode, alpha):
+        # D_thr = z^2 with z the normal quantile at alpha/(2 divisor), against
+        # scipy's chi-square(1) quantile 2 Q^-1(1/2, alpha/divisor)
+        n = 1200
+        cfg = EstimatorConfig(alpha=alpha, threshold_mode=mode)
+        h = cfg.k_max - K_MIN + 1
+        divisor = {"fixed": 1, "bonferroni_h": h, "bonferroni_n": n, "bonferroni_nh": n * h}[mode]
+        assert cfg.rejection_threshold(n) == pytest.approx(
+            2.0 * special.gammainccinv(0.5, alpha / divisor), rel=1e-14)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta_ci"])
+    def test_level_whose_half_underflows(self, field):
+        # the smallest subnormal halves to 0, where the normal quantile is infinite
+        with pytest.raises(InvalidArgumentError, match=f"{field}/2 underflows to 0"):
+            EstimatorConfig(**{field: 5e-324})
+        assert np.isfinite(EstimatorConfig(alpha=1e-323).rejection_threshold(1000))
+
+    def test_bonferroni_tail_that_underflows(self, torus_small):
+        # alpha/(2 n h) is below the smallest subnormal: a bad argument at
+        # the run, where n is known, rather than an infinite threshold
+        cfg = small_config(alpha=1e-320, threshold_mode="bonferroni_nh")
+        message = r"threshold mode 'bonferroni_nh' at n = 2000: alpha/\(2 \* 198000\) underflows"
+        with pytest.raises(InvalidArgumentError, match=message):
+            cfg.rejection_threshold(2000)
+        with pytest.raises(InvalidArgumentError, match=message):
+            run_method("abide", torus_small, cfg)
+        assert np.isfinite(small_config(alpha=1e-320, threshold_mode="bonferroni_h")
+                           .rejection_threshold(2000))
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import urllib.error
+import urllib.request
 import warnings
 
 import numpy as np
@@ -200,6 +201,18 @@ class TestEstimateCommand:
         est = json.loads(result.stdout, parse_constant=reject)["estimate"]
         lo, hi = est["ci"]
         assert lo < est["d"] < hi
+
+    def test_bonferroni_tail_that_underflows_exit_code(self, runner, tmp_path):
+        # alpha/(2 n h) underflows to 0 only once n is known, at the run
+        path, _ = self._torus_csv(tmp_path)
+        result = invoke(runner, [
+            "estimate", "--method", "abide", "--input", path, "--periodic", "1",
+            "--alpha", "1e-320", "--threshold-mode", "bonf-nh",
+        ])
+        assert result.exit_code == 2
+        err = error_json(result)
+        assert err["error"] == "invalid-argument" and "underflows to 0" in err["message"]
+        assert result.stdout == ""
 
     def test_degenerate_scale_exit_code(self, runner, tmp_path):
         path, _ = self._torus_csv(tmp_path)
@@ -555,6 +568,20 @@ class TestBenchmarkCommand:
         assert result.exit_code == 2
         assert error_json(result)["error"] == "invalid-argument"
 
+    @pytest.mark.parametrize("counts, message", [
+        ({"replicas": 2.5}, "replicas must be an integer, got 2.5"),
+        ({"threads": 2.5}, "threads must be an integer, got 2.5"),
+        ({"threads": 0}, "--threads must be >= 1, got 0"),
+    ], ids=["replicas 2.5", "threads 2.5", "threads 0"])
+    def test_bad_counts_checked_before_replicas(self, monkeypatch, counts, message):
+        def no_replica(payload):
+            raise AssertionError("a replica ran before the count check")
+
+        monkeypatch.setattr(cli, "_benchmark_replica", no_replica)
+        spec = datagen.GeneratorSpec(kind="uniform_hypercube_periodic", n=300, d=2, seed=5)
+        with pytest.raises(InvalidArgumentError, match=message):
+            run_benchmark(spec, "twonn", **{"replicas": 2, "threads": 1, **counts})
+
     def test_replica_without_fisher_info_exit_code(self, runner):
         # at n = 4, replica 1 of this seed's twonn has no occupied inner
         # ball, so no interval and no pivot
@@ -668,6 +695,9 @@ class TestOptionsCheckedBeforeGraph:
         ["estimate", "--method", "bide-r", "--tb", "nan", "--tau", "0.5"],
         ["estimate", "--method", "babide", "--alpha0", "nan"],
         ["estimate", "--method", "babide", "--beta0", "inf"],
+        ["estimate", "--method", "abide", "--alpha", "5e-324"],
+        ["estimate", "--method", "twonn", "--beta-ci", "5e-324"],
+        ["estimate", "--method", "bide-k", "--k", "5", "--tau", "0.5", "--beta-ci", "5e-324"],
     ], ids=" ".join)
     def test_cli_exit_code(self, runner, tmp_path, no_graph, args):
         path = write(tmp_path, "a.csv", "0,0\n1,0\n0,1\n")
@@ -809,7 +839,7 @@ class TestFileErrors:
         # is rejected before a data set is made or a download starts
         calls = []
         monkeypatch.setattr(cli.datagen, "generate", lambda spec: calls.append("generate"))
-        monkeypatch.setattr(cli.urllib.request, "urlopen",
+        monkeypatch.setattr(urllib.request, "urlopen",
                             lambda url, timeout: calls.append("urlopen"))
         monkeypatch.chdir(tmp_path)
         result = invoke(runner, command + ["--output", "-"])
@@ -844,7 +874,7 @@ class TestFetchOptdigits:
             calls.append(url)
             return io.BytesIO(self.ROWS.encode("utf-8"))
 
-        monkeypatch.setattr(cli.urllib.request, "urlopen", urlopen)
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         return calls
 
     def test_writes_the_points_without_labels(self, runner, tmp_path, fake_url):
@@ -873,7 +903,7 @@ class TestFetchOptdigits:
         def urlopen(url, timeout):
             raise failure
 
-        monkeypatch.setattr(cli.urllib.request, "urlopen", urlopen)
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         out = tmp_path / "digits.csv"
         result = invoke(runner, ["fetch-optdigits", "--output", str(out)])
         assert result.exit_code == 2
@@ -891,7 +921,7 @@ class TestFetchOptdigits:
         (b"", 1, "empty file"),
     ], ids=["ragged", "non-numeric", "non-finite", "not utf-8", "empty"])
     def test_bad_body_is_a_parse_error(self, runner, monkeypatch, tmp_path, body, line, message):
-        monkeypatch.setattr(cli.urllib.request, "urlopen", lambda url, timeout: io.BytesIO(body))
+        monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: io.BytesIO(body))
         out = tmp_path / "digits.csv"
         result = invoke(runner, ["fetch-optdigits", "--output", str(out)])
         assert result.exit_code == 9
@@ -904,8 +934,10 @@ class TestFetchOptdigits:
 class TestImportFootprint:
     """``import idscale.cli`` loads neither scipy.stats nor scipy.optimize:
     each is imported at its one call site (``kstest`` behind ``benchmark
-    --d-true``, ``brentq`` behind ``agride``). Run in a fresh interpreter,
-    since this test process has loaded both."""
+    --d-true``, ``brentq`` behind ``agride``). Nor does it load
+    scipy.special (``babide``), scipy.spatial (a Euclidean graph) or ssl
+    (``fetch-optdigits``). Run in a fresh interpreter, since this test
+    process has loaded them all."""
 
     SCRIPT = textwrap.dedent("""
         import json
@@ -945,6 +977,84 @@ class TestImportFootprint:
             "agride": ["scipy.optimize"],
             "benchmark --d-true": ["scipy.optimize", "scipy.stats"],
         }
+
+    HEAVY = ("scipy.special", "scipy.spatial", "scipy.linalg", "scipy.sparse", "ssl")
+
+    STEPS_SCRIPT = textwrap.dedent("""
+        import json
+        import sys
+        import idscale
+        from idscale import cli
+
+        heavy, runs = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+
+        def loaded():
+            return sorted(m for m in heavy if m in sys.modules)
+
+        steps = {"import": loaded()}
+        for name, args in runs:
+            cli.main(args, standalone_mode=False)
+            steps[name] = loaded()
+        print(json.dumps(steps))
+    """)
+
+    @staticmethod
+    def _run(script, *args):
+        """The JSON that ``script`` prints last, run in a fresh interpreter."""
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(idscale.__file__))}
+        done = subprocess.run([sys.executable, "-c", script, *args],
+                              env=env, capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    def _steps(self, runs):
+        """The heavy modules loaded after ``import idscale, idscale.cli`` and
+        after each CLI run of ``runs``."""
+        return self._run(self.STEPS_SCRIPT, json.dumps(self.HEAVY), json.dumps(runs))
+
+    def test_periodic_estimates_load_no_scipy_special_spatial_or_ssl(self, tmp_path):
+        torus, plane = str(tmp_path / "torus.csv"), str(tmp_path / "plane.csv")
+        save_dataset_csv(datagen.gen_uniform_hypercube_periodic(n=300, d=2, seed=1), torus)
+        save_dataset_csv(datagen.gen_noisy_gaussian(n=300, d=2, ambient_dim=5, seed=1), plane)
+        out = str(tmp_path / "out.json")
+
+        def estimate(method, *flags, path=torus):
+            periodic = ["--periodic", "1"] if path == torus else []
+            return ["estimate", "--method", method, "--input", path, "--output", out,
+                    *periodic, *flags]
+
+        steps = self._steps([
+            ["abide", estimate("abide")], ["twonn", estimate("twonn")],
+            ["bide-k", estimate("bide-k", "--k", "10", "--tau", "0.5")],
+            ["bide-r", estimate("bide-r", "--tb", "0.3", "--tau", "0.5")],
+            ["babide", estimate("babide")],
+            ["euclidean", estimate("twonn", path=plane)],
+        ])
+        # babide's posterior moments load scipy.special, and a Euclidean
+        # graph's cdist scipy.spatial with scipy.linalg and scipy.sparse
+        assert steps == {
+            "import": [], "abide": [], "twonn": [], "bide-k": [], "bide-r": [],
+            "babide": ["scipy.special"],
+            "euclidean": ["scipy.linalg", "scipy.sparse", "scipy.spatial", "scipy.special"],
+        }
+        # agride's brentq comes from scipy.optimize, which loads all three
+        steps = self._steps([["agride", estimate("agride")]])
+        assert steps == {
+            "import": [], "agride": ["scipy.linalg", "scipy.sparse", "scipy.spatial", "scipy.special"],
+        }
+
+    POOL_SCRIPT = textwrap.dedent("""
+        import json
+        import sys
+        from idscale import cli, datagen
+
+        spec = datagen.GeneratorSpec(kind="noisy_gaussian", n=200, d=2, ambient_dim=5, seed=0)
+        cli.run_benchmark(spec, "twonn", replicas=2, threads=2)
+        print(json.dumps("scipy.spatial.distance" in sys.modules))
+    """)
+
+    def test_benchmark_parent_loads_cdist_before_its_workers_fork(self):
+        # forked workers inherit it, rather than each importing it anew
+        assert self._run(self.POOL_SCRIPT) is True
 
 
 class TestGenerateCommand:

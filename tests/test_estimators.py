@@ -317,6 +317,22 @@ class TestFisherInterval:
         with pytest.raises(InvalidArgumentError, match=message):
             bide_fixed_radius(g, 0.05, 0.5, beta=beta)
 
+    def test_beta_whose_half_underflows(self):
+        # the smallest subnormal halves to 0, where the normal quantile is
+        # infinite: a bad argument, not an interval of (-inf, inf)
+        g = build_neighbor_graph(gen_uniform_hypercube_periodic(n=400, d=2, seed=0), K=20)
+        message = "beta = 5e-324 is too small: beta/2 underflows to 0"
+        for estimate in (lambda beta: independent_count_interval(1.0, 0.5, [1], beta=beta),
+                         lambda beta: twonn_estimate(g, beta=beta),
+                         lambda beta: bide_fixed_k(g, 20, 0.5, beta=beta),
+                         lambda beta: bide_fixed_radius(g, 0.05, 0.5, beta=beta)):
+            with pytest.raises(InvalidArgumentError, match=message):
+                estimate(5e-324)
+        # twice that halves exactly, and its quantile is finite
+        for ci in (independent_count_interval(1.0, 0.5, [1], beta=1e-323),
+                   twonn_estimate(g, beta=1e-323).ci, bide_fixed_k(g, 20, 0.5, beta=1e-323).ci):
+            assert np.isfinite(ci).all() and ci[0] < ci[1]
+
     @pytest.mark.parametrize("beta", [7.0, np.nan, 0.0])
     def test_twonn_checks_beta_without_an_interval(self, beta):
         # four points on the 2-torus: no inner ball is occupied, so two-NN

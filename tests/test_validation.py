@@ -19,7 +19,7 @@ from scipy.stats import chi2, epps_singleton_2samp
 from idscale.adaptive import EstimatorConfig
 from idscale import validation
 from idscale.errors import DegenerateSampleError, InvalidArgumentError
-from idscale.estimators import _normal_interval, fisher_information
+from idscale.estimators import _normal_interval, _upper_normal_quantile, fisher_information
 from idscale.validation import (
     SYNTHETIC_CAP,
     _histogram,
@@ -190,6 +190,20 @@ class TestChi2:
             oracle = 1.0 - quad(chi2_4_pdf, 0.0, res.statistic)[0]
             assert res.p_value == pytest.approx(oracle, abs=1e-10)
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 4])
+    def test_closed_form_tail_matches_gammaincc(self, df):
+        # the fit check's p-value, in closed form, against scipy's
+        # regularized upper incomplete gamma Q(df/2, w/2)
+        ws = np.concatenate([[0.0], np.geomspace(1e-12, 1400.0, 400)])
+        tails = [validation._chi2_tail(w, df) for w in ws.tolist()]
+        np.testing.assert_allclose(tails, special.gammaincc(0.5 * df, 0.5 * ws), rtol=1e-12, atol=0)
+        assert tails[0] == 1.0
+
+    @pytest.mark.parametrize("df", [0, 5])
+    def test_closed_form_tail_only_for_df_one_to_four(self, df):
+        with pytest.raises(InvalidArgumentError, match="1 <= df <= 4"):
+            validation._chi2_tail(1.0, df)
+
 
 class TestNormal:
     def test_symmetry(self):
@@ -209,6 +223,12 @@ class TestNormal:
     def test_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
             normal_quantile(1.0)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.05, 1e-6, 1e-17, 1e-300])
+    def test_quantile_matches_ndtri(self, beta):
+        # the interval's quantile at the half-tail beta/2, against scipy
+        assert _upper_normal_quantile(beta / 2.0) == pytest.approx(
+            -special.ndtri(beta / 2.0), rel=1e-15)
 
 
 class TestEppsSingleton:
