@@ -143,15 +143,20 @@ class AdaptiveState:
 @dataclass
 class AbideResult:
     """An estimate and, for the adaptive methods, the loop's final state;
-    the fixed-scale methods leave the last three fields None.  The adaptive
-    methods divide ``estimate.fisher_info`` by ``pair_overlap_factor`` at
-    the terminal state and build ``estimate.ci`` from it; the one fit check,
+    the fixed-scale methods leave the state, ``converged`` and
+    ``iterations_run`` None.  The adaptive methods divide
+    ``estimate.fisher_info`` by ``pair_overlap_factor`` at the terminal
+    state and build ``estimate.ci`` from it; the one fit check,
     ``estimate.validation_p``, is made at that state too."""
 
     estimate: IdEstimate
     state: AdaptiveState | None = None
-    iterations_run: int | None = None
     converged: bool | None = None
+
+    @property
+    def iterations_run(self) -> int | None:
+        """Updates made: one less than the trace's iterates."""
+        return None if self.state is None else len(self.estimate.trace) - 1
 
 
 def _require_depth(graph: NeighborGraph, k_max: int) -> None:
@@ -195,11 +200,10 @@ class _RejectionOnsets:
     The first ``_ONSET_PREFIX`` orders are built for every row at once.
     k*(d) lies past them only in a row whose smallest prefix step is above
     d, so ``k_star(d)`` first builds the rest of each such row, once per
-    row, as a running minimum of its own, and appends its steps.  A tail
-    step above the prefix's minimum can lie at or below d only when that
-    minimum does too, at a smaller column, so it never decides k*.  Rows
-    are built in blocks, so neither the onsets nor their flat positions
-    are ever an n-row temporary.
+    row, continuing its running minimum from that step; so the list holds
+    exactly the steps of each row's full running minimum, none at +inf.
+    Rows are built in blocks, so neither the onsets nor their flat
+    positions are ever an n-row temporary.
     """
 
     def __init__(self, graph: NeighborGraph, config: EstimatorConfig):
@@ -210,57 +214,53 @@ class _RejectionOnsets:
         # arccosh(e^t) = t + log1p(sqrt(1 - e^-2t)): no cancellation, no overflow
         self._u = 2.0 * (t + np.log1p(np.sqrt(-np.expm1(-2.0 * t))))
         self._prefix = min(_ONSET_PREFIX, ks.size)
+        # per row, its smallest built onset, which its running minimum goes
+        # on from; -inf once the row is complete
+        self._reach = np.full(graph.n_points, np.inf)
         self.values, self.cols, self.rows = self._build(np.arange(graph.n_points), 0, self._prefix)
-        # per row, its smallest built onset; -inf once the row is complete,
-        # as every row is when the prefix holds all orders
-        self._reach = np.full(graph.n_points, np.inf if self._prefix < ks.size else -np.inf)
         np.minimum.at(self._reach, self.rows, self.values)
+        if self._prefix == ks.size:  # the prefix holds every order
+            self._reach[:] = -np.inf
 
     def _build(self, rows, start, stop):
-        """The steps of the running minima of ``rows`` (ascending), each
-        taken over the columns ``start:stop`` alone.  Returns the step
-        values, their columns and their rows."""
+        """The steps of the running minima of ``rows`` over the columns
+        ``start:stop``, each going on from the row's ``_reach``.  Returns
+        the step values, their columns and their rows."""
         graph, u = self.graph, self._u[start:stop]
         ks = np.arange(K_MIN + start, K_MIN + stop)
-        radii = graph.distances.ravel()
         block_rows = max(1, _ONSET_BLOCK // ks.size)
         shape = (min(block_rows, rows.size), ks.size)
         onsets = np.empty(shape)
         flat = np.empty(shape, dtype=np.int64)
-        steps = np.empty(shape, dtype=bool)
-        steps[:, 0] = True  # every running minimum starts a step at column start
         values, cols, step_rows = [], [], []
         for first in range(0, rows.size, block_rows):
             chunk = rows[first : first + block_rows]
             m = chunk.size
-            if chunk[-1] - chunk[0] == m - 1:
-                # consecutive rows: read views, not copies
-                chunk = slice(chunk[0], chunk[0] + m)
             block = onsets[:m]
             # j = index of i's (k+1)-th NN; its own k-th NN distance closes the
             # test: one gather of r_{j,k}; "clip" (every position is in range)
             # writes straight into the block
             pos = _flat_positions(graph.indices[chunk, ks[0] : ks[-1] + 1], graph.depth, ks, flat[:m])
-            radii.take(pos, out=block, mode="clip")
+            graph.distances.take(pos, out=block, mode="clip")
             np.log(block, out=block)
             # the flat positions are spent, so their buffer takes log r_{i,k}
-            log_r_i = np.log(graph.distances[chunk, ks[0] - 1 : ks[-1]], out=pos.view(np.float64))
-            block -= log_r_i
+            block -= np.log(graph.distances[chunk, ks[0] - 1 : ks[-1]], out=pos.view(np.float64))
             np.abs(block, out=block)
             with np.errstate(divide="ignore"):
                 np.divide(u, block, out=block)
             # two zero radii leave a NaN gap and onset, which fmin skips like
-            # the +inf of a test that never rejects; a NaN first column
-            # becomes +inf, so none is left in the running minima
-            np.fmin(block[:, 0], np.inf, out=block[:, 0])
+            # the +inf of a test that never rejects; the first column takes
+            # the reach, which is never NaN, so none is left in the minima
+            reach = self._reach[chunk]
+            np.fmin(block[:, 0], reach, out=block[:, 0])
             np.fmin.accumulate(block, axis=1, out=block)
-            # a step starts wherever the running minimum falls
-            np.less(block[:, 1:], block[:, :-1], out=steps[:m, 1:])
-            at = np.flatnonzero(steps[:m])
+            # a step starts wherever the running minimum falls, from the reach on
+            steps = np.column_stack((block[:, 0] < reach, block[:, 1:] < block[:, :-1]))
+            at = np.flatnonzero(steps)
             row, col = np.divmod(at, ks.size)
             values.append(block.take(at))
             cols.append(col + start)
-            step_rows.append(rows[first + row])
+            step_rows.append(chunk[row])
         return np.concatenate(values), np.concatenate(cols), np.concatenate(step_rows)
 
     def k_star(self, d: float) -> np.ndarray:
@@ -329,8 +329,7 @@ def _adaptive_loop(graph: NeighborGraph, config: EstimatorConfig, update) -> Abi
     state = state_at(d)
     del onsets  # spent: freed before the fit check's synthetic draws
     estimate = _finish_bide(graph, state.counts, d, config.beta_ci)
-    return AbideResult(estimate=replace(estimate, trace=trace), state=state,
-                       iterations_run=len(trace) - 1, converged=converged)
+    return AbideResult(estimate=replace(estimate, trace=trace), state=state, converged=converged)
 
 
 def abide(graph: NeighborGraph, config: EstimatorConfig | None = None) -> AbideResult:

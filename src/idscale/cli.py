@@ -311,7 +311,7 @@ def estimate(method, input_path, periodic, output, **opts):
 @click.option("--grid-size", type=click.IntRange(min=1), default=16, show_default=True)
 @click.option("--tb-min", type=click.FloatRange(min=0, min_open=True), default=None)
 @click.option("--tb-max", type=click.FloatRange(min=0, min_open=True), default=None)
-@click.option("--k-min", type=int, default=2, show_default=True)
+@click.option("--k-min", type=click.IntRange(min=2), default=2, show_default=True)
 @click.option("--k-max-scan", type=click.IntRange(min=2), default=None,
               help="top of the k grid; both modes read this many orders if abide reads fewer")
 @click.option("--output", type=str, default=None)
@@ -322,6 +322,11 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
     adaptive estimate as the starred reference."""
     _check_output(output)
     config = adaptive_mod.EstimatorConfig(**opts)
+    if mode == "k" and k_min > (k_max_scan or config.k_max):
+        raise InvalidArgumentError(
+            f"--k-min {k_min} is above the top of the k grid, --k-max-scan or else --kmax "
+            f"({k_max_scan or config.k_max})"
+        )
     dataset = load_dataset(input_path, _parse_periodic(periodic))
     # one graph for the abide reference and the grid, deepened by --k-max-scan
     graph, ref, timing = _build_and_run("abide", dataset, config, depth=k_max_scan or 0)
@@ -333,7 +338,9 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
     else:
         hi = k_max_scan or ref.state.k_max
         method, key, field = "bide-k", "k", "k"
-        grid = np.unique(np.geomspace(max(2, k_min), hi, grid_size).astype(int))
+        # between equal ends geomspace falls a hair below them, which the
+        # cast would truncate to k_min - 1
+        grid = np.unique(np.geomspace(k_min, hi, grid_size).astype(int).clip(k_min))
     entries = []
     for scale in grid.tolist():
         entry = {key: scale}
@@ -420,10 +427,11 @@ def run_benchmark(spec: datagen.GeneratorSpec, method: str, replicas: int,
         for r, s in enumerate(seeds)
     ]
     if threads > 1 and replicas > 1:
-        # loaded once here, before the workers fork, rather than by each
-        # new worker at its first Euclidean graph (0.3 s apiece); imported,
-        # not called, so no distance call is made outside a replica
-        import scipy.spatial.distance  # noqa: F401
+        if spec.kind not in datagen.PERIODIC_KINDS:
+            # loaded once here, before the workers fork, rather than by each
+            # new worker at its first Euclidean graph (0.3 s apiece); imported,
+            # not called, so no distance call is made outside a replica
+            import scipy.spatial.distance  # noqa: F401
 
         # the pool starts all its workers at once, so no more than there are replicas
         with ProcessPoolExecutor(max_workers=min(threads, replicas)) as pool:

@@ -174,6 +174,8 @@ GENERATORS = {
     "density_step_1d": (gen_density_step_1d, ("n", "ratio")),
 }
 GENERATOR_KINDS = tuple(GENERATORS)
+# the kinds whose datasets carry periods, so that their graphs need no cdist
+PERIODIC_KINDS = ("uniform_hypercube_periodic",)
 
 
 def generate(spec: GeneratorSpec) -> Dataset:

@@ -61,6 +61,7 @@ class ParseError(IdscaleError):
 
 
 def require_integer(name, value):
-    """Raise ``InvalidArgumentError`` unless ``value`` is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """Raise ``InvalidArgumentError`` unless ``value`` is a Python or numpy
+    integer; a bool, though an ``int``, is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")

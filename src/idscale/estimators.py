@@ -427,8 +427,8 @@ def gride_mle_from_ratios(mu, n1, n2) -> float:
 
 def gride_mle(graph: NeighborGraph, n1: int, n2: int) -> IdEstimate:
     """Generalized-ratio ID estimator from the r_{n2}/r_{n1} distance ratios."""
-    if not (isinstance(n1, (int, np.integer)) and isinstance(n2, (int, np.integer))):
-        raise InvalidArgumentError("n1 and n2 must be integers")
+    require_integer("n1", n1)
+    require_integer("n2", n2)
     if not n2 > n1 >= 1:
         raise InvalidArgumentError(f"need n2 > n1 >= 1, got n1={n1}, n2={n2}")
     if graph.depth < n2:

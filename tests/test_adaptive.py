@@ -215,7 +215,7 @@ class TestEstimatorConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("k_max", 100.5), ("k_max", 50.0), ("max_iter", 2.5), ("max_iter", np.float64(3.0)),
-        ("k", 2.5), ("k", np.nan),
+        ("k", 2.5), ("k", np.nan), ("k_max", True), ("max_iter", True), ("k", True),
     ])
     def test_integer_options_must_be_integers(self, field, value):
         with pytest.raises(InvalidArgumentError, match=f"{field} must be an integer"):
@@ -329,13 +329,11 @@ class TestRejectionOnsets:
         cfg = EstimatorConfig(k_max=80, alpha=alpha_for(1e-6))
         for d in (0.1, 2.0, 1e3):
             assert np.all(select_k_star_all(graph, d, cfg) == cfg.k_max)
-        # so each row is one +inf step, at column 0, also once every row's
-        # orders past the prefix are built
+        # so no row holds a step, also once every row's orders past the
+        # prefix are built
         onsets = _RejectionOnsets(graph, cfg)
         onsets.k_star(0.1)
-        values, cols, rows = onsets.values, onsets.cols, onsets.rows
-        assert np.all(values == np.inf) and np.all(cols == 0)
-        np.testing.assert_array_equal(np.sort(rows), np.arange(graph.n_points))
+        assert onsets.values.size == onsets.cols.size == onsets.rows.size == 0
 
     @pytest.mark.parametrize(
         "graph_name", ["euclidean", "zero_radii", "periodic", "lattice", "periodic_lattice"]
@@ -357,14 +355,44 @@ class TestRejectionOnsets:
             onsets = _RejectionOnsets(graph, cfg)
             for d in queries:
                 np.testing.assert_array_equal(onsets.k_star(d), reference_k_star(graph, d, cfg))
-        # each row has at most one step per column, and its steps run with
-        # falling values within the prefix and within the rest
+        # each row has at most one step per column, and its step values
+        # fall strictly along the whole row, prefix and rest alike
         order = np.lexsort((onsets.cols, onsets.rows))
         rows, cols, values = onsets.rows[order], onsets.cols[order], onsets.values[order]
         same_row = rows[1:] == rows[:-1]
         assert np.all((cols[1:] > cols[:-1])[same_row])
-        same_part = same_row & ((cols[1:] < prefix) == (cols[:-1] < prefix))
-        assert np.all((values[1:] < values[:-1])[same_part])
+        assert np.all((values[1:] < values[:-1])[same_row])
+
+    @pytest.mark.parametrize(
+        "graph_name", ["euclidean", "zero_radii", "periodic", "lattice", "periodic_lattice"]
+    )
+    @pytest.mark.parametrize("prefix", [5, adaptive_mod._ONSET_PREFIX])
+    def test_steps_are_those_of_the_full_running_minimum(self, onset_graphs, graph_name, prefix,
+                                                         monkeypatch):
+        graph = onset_graphs[graph_name]
+        cfg = EstimatorConfig(k_max=80)
+        monkeypatch.setattr(adaptive_mod, "_ONSET_PREFIX", prefix)
+        # the dense onsets u_k / |log r_{i,k} - log r_{j,k}| of every order,
+        # with u_k = 2 arccosh(exp(D_thr / 4k)) in `_RejectionOnsets`'s form
+        ks = np.arange(K_MIN, cfg.k_max + 1)
+        t = cfg.rejection_threshold(graph.n_points) / (4.0 * ks)
+        u = 2.0 * (t + np.log1p(np.sqrt(-np.expm1(-2.0 * t))))
+        rows = np.arange(graph.n_points)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # log of zero radii
+            gap = np.abs(np.log(graph.distances[rows, ks - 1])
+                         - np.log(graph.distances[graph.indices[rows, ks], ks - 1]))
+            dense = np.fmin.accumulate(np.where(np.isnan(gap), np.inf, u / gap), axis=1)
+            onsets = _RejectionOnsets(graph, cfg)
+            onsets.k_star(0.0)  # every reach is above 0: every tail is built
+        # a step wherever the running minimum falls below the one before,
+        # which is +inf ahead of the first order
+        before = np.concatenate((np.full((graph.n_points, 1), np.inf), dense[:, :-1]), axis=1)
+        falls = dense < before
+        order = np.lexsort((onsets.cols, onsets.rows))
+        np.testing.assert_array_equal(onsets.rows[order], np.nonzero(falls)[0])
+        np.testing.assert_array_equal(onsets.cols[order], np.nonzero(falls)[1])
+        np.testing.assert_array_equal(onsets.values[order], dense[falls])
+        assert not np.any(onsets.values == np.inf)
 
     def count_onsets(self, monkeypatch):
         """Spy on ``_flat_positions``: a list whose sum is the onsets built."""

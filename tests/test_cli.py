@@ -395,6 +395,19 @@ class TestScanCommand:
             if "d" in entry:
                 assert 1.0 <= entry["d"] <= 3.0
 
+    @pytest.mark.parametrize("flags, top", [
+        (["--k-max-scan", "40"], 40), (["--kmax", "60"], 60), (["--k-max-scan", "80"], 80),
+    ], ids=["k-max-scan", "kmax", "k-max-scan-above-kmax"])
+    def test_k_min_at_the_grid_top(self, runner, tmp_path, flags, top):
+        path = str(tmp_path / "torus.csv")
+        save_dataset_csv(datagen.gen_uniform_hypercube_periodic(n=300, d=2, seed=2), path)
+        result = invoke(runner, [
+            "scan", "--mode", "k", "--input", path, "--periodic", "1", "--grid-size", "4",
+            "--kmax", "60", "--k-min", str(top), *flags,
+        ])
+        assert result.exit_code == 0, result.output
+        assert [e["k"] for e in json.loads(result.stdout)["entries"]] == [top]
+
     def test_tau_is_the_abide_reference_tau(self, runner, tmp_path):
         ds = datagen.gen_uniform_hypercube_periodic(n=500, d=2, seed=2)
         path = str(tmp_path / "torus.csv")
@@ -572,7 +585,9 @@ class TestBenchmarkCommand:
         ({"replicas": 2.5}, "replicas must be an integer, got 2.5"),
         ({"threads": 2.5}, "threads must be an integer, got 2.5"),
         ({"threads": 0}, "--threads must be >= 1, got 0"),
-    ], ids=["replicas 2.5", "threads 2.5", "threads 0"])
+        ({"replicas": True}, "replicas must be an integer, got True"),
+        ({"threads": True}, "threads must be an integer, got True"),
+    ], ids=["replicas 2.5", "threads 2.5", "threads 0", "replicas True", "threads True"])
     def test_bad_counts_checked_before_replicas(self, monkeypatch, counts, message):
         def no_replica(payload):
             raise AssertionError("a replica ran before the count check")
@@ -686,6 +701,12 @@ class TestOptionsCheckedBeforeGraph:
         ["scan", "--mode", "radius", "--tb-min", "-1"],
         ["scan", "--mode", "radius", "--tb-max", "0"],
         ["scan", "--mode", "k", "--k-max-scan", "1"],
+        ["scan", "--mode", "k", "--k-min", "1"],
+        ["scan", "--mode", "k", "--k-min", "0"],
+        ["scan", "--mode", "k", "--k-min", "-7"],
+        ["scan", "--mode", "k", "--k-min", "41", "--k-max-scan", "40"],
+        ["scan", "--mode", "k", "--k-min", "61", "--kmax", "60"],
+        ["scan", "--mode", "k", "--k-min", "400", "--kmax", "60"],
         ["scan", "--mode", "k", "--tau", "2"],
         ["estimate", "--method", "babide", "--alpha0", "-1"],
         ["estimate", "--method", "bide-r", "--tau", "0.5"],
@@ -1047,14 +1068,20 @@ class TestImportFootprint:
         import sys
         from idscale import cli, datagen
 
-        spec = datagen.GeneratorSpec(kind="noisy_gaussian", n=200, d=2, ambient_dim=5, seed=0)
+        spec = datagen.GeneratorSpec(**json.loads(sys.argv[1]))
         cli.run_benchmark(spec, "twonn", replicas=2, threads=2)
         print(json.dumps("scipy.spatial.distance" in sys.modules))
     """)
 
     def test_benchmark_parent_loads_cdist_before_its_workers_fork(self):
         # forked workers inherit it, rather than each importing it anew
-        assert self._run(self.POOL_SCRIPT) is True
+        spec = {"kind": "noisy_gaussian", "n": 200, "d": 2, "ambient_dim": 5, "seed": 0}
+        assert self._run(self.POOL_SCRIPT, json.dumps(spec)) is True
+
+    def test_periodic_benchmark_parent_leaves_cdist_out(self):
+        # no replica of a periodic generator calls cdist
+        spec = {"kind": "uniform_hypercube_periodic", "n": 300, "d": 2, "seed": 0}
+        assert self._run(self.POOL_SCRIPT, json.dumps(spec)) is False
 
 
 class TestGenerateCommand:

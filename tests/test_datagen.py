@@ -199,6 +199,7 @@ class TestGeneratorSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("n", 100.5), ("n", 100.0), ("d", 2.5), ("ambient_dim", 20.0), ("seed", 1.5),
+        ("d", True),
     ])
     def test_integer_fields_must_be_integers(self, field, value):
         fields = {"kind": "noisy_gaussian", "n": 100, "d": 2, "ambient_dim": 20, field: value}
@@ -209,6 +210,11 @@ class TestGeneratorSpec:
         spec = GeneratorSpec(kind="uniform_hypercube_periodic", n=np.int64(50), d=np.int32(2),
                              seed=np.uint32(7))
         assert datagen.generate(spec).points.shape == (50, 2)
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_periodic_kinds_are_those_with_periods(self, kind):
+        spec = GeneratorSpec(kind=kind, n=20, d=2, ambient_dim=3, seed=0)
+        assert (kind in datagen.PERIODIC_KINDS) == (generate(spec).periods is not None)
 
     @pytest.mark.parametrize("kind", GENERATOR_KINDS)
     def test_generator_defaults_are_the_spec_defaults(self, kind):

@@ -234,8 +234,8 @@ class TestBideFixedK:
         with pytest.raises(DegenerateScaleError):
             bide_fixed_k(torus_2d, 1, 0.5)
 
-    @pytest.mark.parametrize("k", [2.5, 30.0, np.float64(30.0), "30"],
-                             ids=["2.5", "30.0", "float64-30.0", "str-30"])
+    @pytest.mark.parametrize("k", [2.5, 30.0, np.float64(30.0), "30", True],
+                             ids=["2.5", "30.0", "float64-30.0", "str-30", "True"])
     def test_k_must_be_an_integer(self, torus_2d, k):
         with pytest.raises(InvalidArgumentError, match="k must be an integer"):
             bide_fixed_k(torus_2d, k, 0.5)
@@ -432,6 +432,16 @@ class TestGride:
             gride_mle(torus_2d, 2, 2)
         with pytest.raises(InvalidArgumentError), pytest.warns(UserWarning):
             gride_mle_from_ratios(np.array([1.0]), 1.0, 2.0)
+
+    @pytest.mark.parametrize("n1, n2, name", [
+        (1.0, 3, "n1"), (2, 4.5, "n2"), (True, 4, "n1"), (np.float64(2.0), 4, "n1"),
+    ], ids=["n1 1.0", "n2 4.5", "n1 True", "n1 float64-2.0"])
+    def test_orders_must_be_integers(self, torus_2d, n1, n2, name):
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer"):
+            gride_mle(torus_2d, n1, n2)
+
+    def test_numpy_integer_orders(self, torus_2d):
+        assert gride_mle(torus_2d, np.int64(2), np.int32(4)).d == gride_mle(torus_2d, 2, 4).d
 
 
 class TestPairOverlap:

@@ -142,7 +142,8 @@ class TestDeduplicate:
 
 
 class TestBuildNeighborGraph:
-    @pytest.mark.parametrize("K", [2.0, 2.5, np.float64(2.0)], ids=["2.0", "2.5", "float64-2.0"])
+    @pytest.mark.parametrize("K", [2.0, 2.5, np.float64(2.0), True],
+                             ids=["2.0", "2.5", "float64-2.0", "True"])
     def test_depth_must_be_an_integer(self, K):
         ds = datagen.gen_uniform_hypercube_periodic(n=20, d=2, seed=0)
         with pytest.raises(InvalidArgumentError, match="K must be an integer"):
