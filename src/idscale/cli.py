@@ -337,10 +337,13 @@ def scan(mode, input_path, periodic, grid_size, tb_min, tb_max, k_min, k_max_sca
         method, key, field, grid = "bide-r", "t_b", "tb", np.geomspace(lo, hi, grid_size)
     else:
         hi = k_max_scan or ref.state.k_max
+        if k_min > hi:
+            raise InvalidArgumentError(
+                f"--k-min {k_min} is above the top of the k grid, the k_max "
+                f"{hi} that abide ran with on {graph.n_points} distinct points"
+            )
         method, key, field = "bide-k", "k", "k"
-        # between equal ends geomspace falls a hair below them, which the
-        # cast would truncate to k_min - 1
-        grid = np.unique(np.geomspace(k_min, hi, grid_size).astype(int).clip(k_min))
+        grid = np.unique(np.rint(np.geomspace(k_min, hi, grid_size)).astype(int))
     entries = []
     for scale in grid.tolist():
         entry = {key: scale}

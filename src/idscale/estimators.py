@@ -36,6 +36,9 @@ BETA_PRIOR = 1.0
 
 _D_MIN, _D_MAX = 1e-3, 1e3
 
+# absolute and relative tolerance on the root, and step limit, of _brent_root
+_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-12, 1e-14, 100
+
 # memberships per block of shared_pair_counts: about 2.5 MB of working arrays
 _PAIR_MEMBERSHIPS = 1 << 16
 
@@ -391,18 +394,68 @@ def _gride_score(mu, d, n1, n2):
     return float(terms.sum())
 
 
+def _brent_root(f, lo, hi, f_lo, f_hi):
+    """Root of ``f`` in [lo, hi], given f_lo = f(lo) and f_hi = f(hi) of
+    opposite signs (or one of them 0).
+
+    Brent's method with the steps of scipy's Brent root finder, in its
+    order and arithmetic, so it returns the same float; it takes the
+    end-point values from the caller instead of evaluating ``f`` there
+    again.
+    """
+    if f_lo == 0:
+        return lo
+    if f_hi == 0:
+        return hi
+    # x_cur is the best estimate and x_blk the other end of the bracket
+    x_pre, x_cur, f_pre, f_cur = lo, hi, f_lo, f_hi
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if f_pre != 0 and f_cur != 0 and (f_pre < 0) != (f_cur < 0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+                # a short enough step: take it
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0 else -delta
+        f_cur = f(x_cur)
+    raise OptimizationFailureError(
+        f"root search did not converge in {_BRENT_MAXITER} steps on ({lo}, {hi})"
+    )
+
+
 def gride_mle_from_ratios(mu, n1, n2) -> float:
     """Numerical maximizer of the generalized-ratio likelihood.
 
     ``n1``/``n2`` may be scalars or per-point arrays (the adaptive variant
     uses per-point orders).  The score is strictly decreasing in d, so the
-    maximizer is the unique root of the score, found by bracketed
-    root-finding on (1e-3, 1e3).
+    maximizer is the unique root of the score on (1e-3, 1e3), found by
+    ``_brent_root``, the package's own Brent root search.
     """
-    # imported here, its one use: scipy.optimize takes about 11 MB and
-    # 0.07 s, which the other methods do not pay
-    from scipy.optimize import brentq
-
     mu = np.asarray(mu, dtype=np.float64)
     n1 = np.broadcast_to(np.asarray(n1, dtype=np.float64), mu.shape)
     n2 = np.broadcast_to(np.asarray(n2, dtype=np.float64), mu.shape)
@@ -418,11 +471,12 @@ def gride_mle_from_ratios(mu, n1, n2) -> float:
     lo, hi = _D_MIN, _D_MAX
     s_lo = _gride_score(mu, lo, n1, n2)
     s_hi = _gride_score(mu, hi, n1, n2)
-    if s_lo < 0 or s_hi > 0:
+    # also fails on a NaN score, which the root search does not check
+    if not s_lo >= 0 >= s_hi:
         raise OptimizationFailureError(
             f"no interior maximum on ({lo}, {hi}): score at bounds {s_lo:.3g}, {s_hi:.3g}"
         )
-    return float(brentq(lambda d: _gride_score(mu, d, n1, n2), lo, hi, xtol=1e-12, rtol=1e-14))
+    return _brent_root(lambda d: _gride_score(mu, d, n1, n2), lo, hi, s_lo, s_hi)
 
 
 def gride_mle(graph: NeighborGraph, n1: int, n2: int) -> IdEstimate:

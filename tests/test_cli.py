@@ -408,6 +408,29 @@ class TestScanCommand:
         assert result.exit_code == 0, result.output
         assert [e["k"] for e in json.loads(result.stdout)["entries"]] == [top]
 
+    def test_k_grid_is_rounded(self, runner, tmp_path):
+        # geomspace(2, 32, 5) puts its middle point a hair below 8
+        path = str(tmp_path / "torus.csv")
+        save_dataset_csv(datagen.gen_uniform_hypercube_periodic(n=300, d=2, seed=2), path)
+        result = invoke(runner, [
+            "scan", "--mode", "k", "--input", path, "--periodic", "1", "--grid-size", "5",
+            "--k-min", "2", "--k-max-scan", "32", "--kmax", "60",
+        ])
+        assert result.exit_code == 0, result.output
+        assert [e["k"] for e in json.loads(result.stdout)["entries"]] == [2, 4, 8, 16, 32]
+
+    def test_k_min_above_the_clamped_kmax(self, runner, tmp_path):
+        # --kmax 350 passes the check before the graph, but abide clamps
+        # k_max to n - 2 = 48 on 50 distinct points
+        path = str(tmp_path / "torus.csv")
+        save_dataset_csv(datagen.gen_uniform_hypercube_periodic(n=50, d=2, seed=2), path)
+        result = invoke(runner, [
+            "scan", "--mode", "k", "--input", path, "--periodic", "1", "--k-min", "100",
+        ])
+        assert result.exit_code == 2, result.output
+        err = error_json(result)
+        assert err["error"] == "invalid-argument" and "k_max 48" in err["message"]
+
     def test_tau_is_the_abide_reference_tau(self, runner, tmp_path):
         ds = datagen.gen_uniform_hypercube_periodic(n=500, d=2, seed=2)
         path = str(tmp_path / "torus.csv")
@@ -954,8 +977,8 @@ class TestFetchOptdigits:
 
 class TestImportFootprint:
     """``import idscale.cli`` loads neither scipy.stats nor scipy.optimize:
-    each is imported at its one call site (``kstest`` behind ``benchmark
-    --d-true``, ``brentq`` behind ``agride``). Nor does it load
+    only ``benchmark --d-true`` loads them, through ``kstest``, and
+    ``agride`` finds its GRIDE root in the package. Nor does it load
     scipy.special (``babide``), scipy.spatial (a Euclidean graph) or ssl
     (``fetch-optdigits``). Run in a fresh interpreter, since this test
     process has loaded them all."""
@@ -995,7 +1018,7 @@ class TestImportFootprint:
         steps = json.loads(done.stdout.strip().splitlines()[-1])
         assert steps == {
             "import": [], "abide": [], "babide": [], "twonn": [], "bide-k": [], "bide-r": [],
-            "agride": ["scipy.optimize"],
+            "agride": [],
             "benchmark --d-true": ["scipy.optimize", "scipy.stats"],
         }
 
@@ -1057,11 +1080,9 @@ class TestImportFootprint:
             "babide": ["scipy.special"],
             "euclidean": ["scipy.linalg", "scipy.sparse", "scipy.spatial", "scipy.special"],
         }
-        # agride's brentq comes from scipy.optimize, which loads all three
+        # agride's root search is the package's own, so it loads no scipy module
         steps = self._steps([["agride", estimate("agride")]])
-        assert steps == {
-            "import": [], "agride": ["scipy.linalg", "scipy.sparse", "scipy.spatial", "scipy.special"],
-        }
+        assert steps == {"import": [], "agride": []}
 
     POOL_SCRIPT = textwrap.dedent("""
         import json

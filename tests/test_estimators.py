@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -16,10 +17,13 @@ from idscale.errors import (
     EstimateUnboundedError,
     InsufficientGraphDepthError,
     InvalidArgumentError,
+    OptimizationFailureError,
 )
 from idscale.estimators import (
     C_STAR,
     BinomialCounts,
+    _brent_root,
+    _gride_score,
     _normal_interval,
     beta_posterior,
     bide_closed_form,
@@ -442,6 +446,72 @@ class TestGride:
 
     def test_numpy_integer_orders(self, torus_2d):
         assert gride_mle(torus_2d, np.int64(2), np.int32(4)).d == gride_mle(torus_2d, 2, 4).d
+
+    def test_nan_score_at_the_bounds_fails(self):
+        # an infinite ratio makes the score inf - inf = NaN at both ends
+        with np.errstate(invalid="ignore"), pytest.raises(OptimizationFailureError):
+            gride_mle_from_ratios(np.array([np.inf, np.e, 2.0]), 1.0, 3.0)
+
+
+class TestBrentRoot:
+    @staticmethod
+    def assert_same_steps_as_brentq(f, lo, hi):
+        """The root and every point scored after the two ends equal scipy's."""
+        from scipy.optimize import brentq
+
+        points = []
+
+        def scored(x):
+            points.append(x)
+            return f(x)
+
+        expected = brentq(scored, lo, hi, xtol=1e-12, rtol=1e-14)
+        steps = points[2:]  # brentq first scores both ends
+        points.clear()
+        assert _brent_root(scored, lo, hi, f(lo), f(hi)) == expected
+        assert points == steps
+
+    @pytest.mark.parametrize("per_point", [False, True], ids=["scalar orders", "per-point orders"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_steps_as_scipy_brentq_on_gride_scores(self, seed, per_point):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 300))
+        if per_point:
+            n1 = rng.integers(1, 20, size=n).astype(np.float64)
+            n2 = n1 + rng.integers(1, 30, size=n)
+        else:
+            n1 = float(rng.integers(1, 10))
+            n2 = n1 + float(rng.integers(1, 10))
+        mu = 1.0 + rng.pareto(rng.uniform(0.3, 30.0), size=n) + 1e-12
+        self.assert_same_steps_as_brentq(lambda d: _gride_score(mu, d, n1, n2), 1e-3, 1e3)
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+        (lambda x: math.atan(x) - 0.5, -50.0, 50.0),
+        (lambda x: math.copysign(abs(x - 1 / 3) ** 0.5, x - 1 / 3), 0.0, 1.0),
+        (lambda x: x ** 9 - 0.1, 0.0, 1.0),
+    ], ids=["cubic", "atan", "signed sqrt", "x^9"])
+    def test_same_steps_as_scipy_brentq_on_other_roots(self, f, lo, hi):
+        # roots whose steps GRIDE scores do not reach, such as a trial step
+        # that fails the bound 3 |s_bis| - delta
+        self.assert_same_steps_as_brentq(f, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 4.0), (-2.0, 1.0)], ids=["at lo", "at hi"])
+    def test_zero_at_an_end_point_returns_it(self, lo, hi):
+        def f(x):
+            return 1.0 - x
+
+        assert _brent_root(f, lo, hi, f(lo), f(hi)) == 1.0
+
+    def test_too_few_steps_raise(self, monkeypatch):
+        mu = np.array([np.e, 2.0, 5.0])
+
+        def score(d):
+            return _gride_score(mu, d, 1.0, 2.0)
+
+        monkeypatch.setattr(estimators, "_BRENT_MAXITER", 3)
+        with pytest.raises(OptimizationFailureError, match="did not converge in 3 steps"):
+            _brent_root(score, 1e-3, 1e3, score(1e-3), score(1e3))
 
 
 class TestPairOverlap:
